@@ -34,6 +34,7 @@ from .inference import (
     normal_quantile,
     score_test,
     score_variance,
+    two_sided_p_value,
     wald_estimate,
 )
 from .loss import (

@@ -11,6 +11,7 @@ chosen for easy diffing; simulate writes the CSV schemas of
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -22,9 +23,6 @@ from .errors import InputError, NumericalError
 from .inference import InferenceConfig, score_test, wald_estimate
 from .model import FitConfig, builtin_link, load_dataset_csv
 from .solver import fit
-
-_FIT_DEFAULTS = dict(eta=2.0, zeta=1e-5, memory=5, alpha_min=1e-30, alpha_max=1e30,
-                     tol=1e-5, max_iter=10_000, max_linesearch=100)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,13 +56,15 @@ def _add_fit_options(p):
 def _add_inference_options(p):
     p.add_argument("--coordinate", type=int, required=True,
                    help="1-based coordinate to test")
-    p.add_argument("--delta", type=float, help="significance level (default 0.05)")
+    p.add_argument("--delta", type=float,
+                   help=f"significance level (default {InferenceConfig.significance:g})")
     p.add_argument("--null-value", dest="null_value", type=float,
-                   help="hypothesized coefficient value (default 0)")
+                   help=f"hypothesized coefficient value (default {InferenceConfig.null_value:g})")
     p.add_argument("--rho", type=float,
                    help="decorrelation LP radius (overrides --rho-rule)")
     p.add_argument("--rho-rule", dest="rho_rule", type=float,
-                   help="set rho = C*sigma*sqrt(log(d)/n) with this C (default 30)")
+                   help=f"set rho = C*sigma*sqrt(log(d)/n) with this C "
+                        f"(default {sim.RHO_SCALE:g})")
 
 
 def _build_parser():
@@ -105,19 +105,21 @@ def _build_parser():
                        help="comma-separated support sizes")
     p_sim.add_argument("--mu-grid", dest="mu_grid",
                        help="comma-separated signal strengths (table experiment)")
-    p_sim.add_argument("--link", help="link function name (default paper)")
-    p_sim.add_argument("--sigma", type=float, help="noise standard deviation (default 1)")
+    p_sim.add_argument("--link", help=f"link function name (default {sim.SimConfig.link_name})")
+    p_sim.add_argument("--sigma", type=float,
+                       help=f"noise standard deviation (default {sim.SimConfig.noise_sd:g})")
     p_sim.add_argument("--toeplitz-rho", dest="toeplitz_rho", type=float,
-                       help="design correlation decay (default 0.95)")
+                       help=f"design correlation decay (default {sim.SimConfig.toeplitz_rho:g})")
     p_sim.add_argument("--beta-mode", dest="beta_mode",
                        help='"uniform:lo,hi" or "constant:mu" (default uniform:0,2)')
     p_sim.add_argument("--trials", type=int, help="trials per grid point (default 100)")
-    p_sim.add_argument("--seed", type=int, help="base seed (default 0)")
+    p_sim.add_argument("--seed", type=int, help=f"base seed (default {sim.SimConfig.seed})")
     p_sim.add_argument("--lambda-rule", dest="lambda_rule", type=float,
-                       help="C in lambda = C*sigma*sqrt(log(d)/n) (default 3)")
+                       help=f"C in lambda = C*sigma*sqrt(log(d)/n) (default {sim.LAMBDA_SCALE:g})")
     p_sim.add_argument("--rho-rule", dest="rho_rule", type=float,
-                       help="C in rho = C*sigma*sqrt(log(d)/n) (default 30)")
-    p_sim.add_argument("--delta", type=float, help="test level for table (default 0.05)")
+                       help=f"C in rho = C*sigma*sqrt(log(d)/n) (default {sim.RHO_SCALE:g})")
+    p_sim.add_argument("--delta", type=float,
+                       help=f"test level for table (default {InferenceConfig.significance:g})")
     p_sim.add_argument("--type1-coordinate", dest="type1_coordinate", type=int,
                        help="null-true coordinate for the table (default s_star+1)")
     p_sim.add_argument("--power-coordinate", dest="power_coordinate", type=int,
@@ -172,6 +174,18 @@ def _resolve(args, cfg, key, default=None):
     return default
 
 
+def _user_options(args, cfg, config_type, skip=(), keys=None):
+    """Fields of ``config_type`` set by flag or in --config; the rest keep the
+    dataclass defaults. ``keys`` maps a field to its option name where they
+    differ, ``skip`` lists fields the caller resolves."""
+    options = {}
+    for field in dataclasses.fields(config_type):
+        value = _resolve(args, cfg, (keys or {}).get(field.name, field.name))
+        if field.name not in skip and value is not None:
+            options[field.name] = float(value) if isinstance(field.default, float) else value
+    return options
+
+
 def _emit(text: str, output: str):
     if output == "-":
         sys.stdout.write(text)
@@ -195,28 +209,16 @@ def _doc(pairs, beta=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_lambda(args, cfg, data):
-    lam = _resolve(args, cfg, "lam")
-    if lam is not None:
-        return float(lam)
-    rule = _resolve(args, cfg, "lambda_rule")
-    if rule is None:
-        raise InputError("specify --lambda, or --lambda-rule together with --sigma")
+def _resolve_rule(args, cfg, data, key, flag, default_scale=None):
+    """The value set by --<flag>, else the rate rule at --<flag>-rule and --sigma."""
+    value = _resolve(args, cfg, key)
+    if value is not None:
+        return float(value)
+    scale = _resolve(args, cfg, f"{flag}_rule", default_scale)
     sigma = _resolve(args, cfg, "sigma")
-    if sigma is None:
-        raise InputError("--lambda-rule needs --sigma")
-    return float(rule) * float(sigma) * float(np.sqrt(np.log(data.d) / data.n))
-
-
-def _resolve_rho(args, cfg, data):
-    rho = _resolve(args, cfg, "rho")
-    if rho is not None:
-        return float(rho)
-    rule = _resolve(args, cfg, "rho_rule", 30.0)
-    sigma = _resolve(args, cfg, "sigma")
-    if sigma is None:
-        raise InputError("--rho-rule needs --sigma (or give --rho explicitly)")
-    return float(rule) * float(sigma) * float(np.sqrt(np.log(data.d) / data.n))
+    if scale is None or sigma is None:
+        raise InputError(f"specify --{flag}, or --{flag}-rule together with --sigma")
+    return sim.rate_rule(float(scale), float(sigma), data.n, data.d)
 
 
 def _fit_from_args(args, cfg):
@@ -225,10 +227,8 @@ def _fit_from_args(args, cfg):
         raise InputError("--data is required")
     data = load_dataset_csv(data_path)
     link = builtin_link(_resolve(args, cfg, "link", "paper"))
-    lam = _resolve_lambda(args, cfg, data)
-    options = {key: _resolve(args, cfg, key, default)
-               for key, default in _FIT_DEFAULTS.items()}
-    config = FitConfig(lam=lam, **options)
+    lam = _resolve_rule(args, cfg, data, "lam", "lambda")
+    config = FitConfig(lam=lam, **_user_options(args, cfg, FitConfig, skip=("lam", "init")))
     return data, link, lam, fit(link, data, config)
 
 
@@ -253,9 +253,9 @@ def _cmd_fit(args) -> int:
 def _inference_config(args, cfg, data):
     return InferenceConfig(
         coordinate=int(_resolve(args, cfg, "coordinate")),
-        rho=_resolve_rho(args, cfg, data),
-        significance=float(_resolve(args, cfg, "delta", 0.05)),
-        null_value=float(_resolve(args, cfg, "null_value", 0.0)),
+        rho=_resolve_rule(args, cfg, data, "rho", "rho", sim.RHO_SCALE),
+        **_user_options(args, cfg, InferenceConfig, skip=("coordinate", "rho"),
+                        keys={"significance": "delta"}),
     )
 
 
@@ -327,14 +327,12 @@ def _parse_grid(raw, cast):
 
 
 def _parse_beta_mode(raw):
-    if raw is None:
-        return sim.UniformBeta(0.0, 2.0)
-    if isinstance(raw, (sim.UniformBeta, sim.ConstantBeta)):
-        return raw
     kind, _, params = str(raw).partition(":")
     try:
         if kind == "uniform":
-            lo, hi = (float(v) for v in params.split(",")) if params else (0.0, 2.0)
+            if not params:
+                return sim.UniformBeta()
+            lo, hi = (float(v) for v in params.split(","))
             return sim.UniformBeta(lo, hi)
         if kind == "constant":
             return sim.ConstantBeta(float(params))
@@ -345,18 +343,15 @@ def _parse_beta_mode(raw):
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    base = dict(
-        link_name=_resolve(args, cfg, "link", "paper"),
-        noise_sd=float(_resolve(args, cfg, "sigma", 1.0)),
-        toeplitz_rho=float(_resolve(args, cfg, "toeplitz_rho", 0.95)),
-        beta_mode=_parse_beta_mode(_resolve(args, cfg, "beta_mode")),
-        seed=int(_resolve(args, cfg, "seed", 0)),
-        trials=int(_resolve(args, cfg, "trials", 100)),
-    )
+    base = _user_options(args, cfg, sim.SimConfig, skip=("n", "d", "s_star", "trials"),
+                         keys={"link_name": "link", "noise_sd": "sigma"})
+    if "beta_mode" in base:
+        base["beta_mode"] = _parse_beta_mode(base["beta_mode"])
+    base["trials"] = int(_resolve(args, cfg, "trials", 100))
     n = _resolve(args, cfg, "n")
     d = _resolve(args, cfg, "d")
     s_star = _resolve(args, cfg, "s_star")
-    lambda_scale = float(_resolve(args, cfg, "lambda_rule", 3.0))
+    lambda_scale = float(_resolve(args, cfg, "lambda_rule", sim.LAMBDA_SCALE))
     threads = _resolve(args, cfg, "threads")
     threads = int(threads) if threads is not None else None
 
@@ -393,8 +388,8 @@ def _cmd_simulate(args) -> int:
             type1_coordinate=int(type1) if type1 is not None else None,
             power_coordinate=int(_resolve(args, cfg, "power_coordinate", 1)),
             lambda_scale=lambda_scale,
-            rho_scale=float(_resolve(args, cfg, "rho_rule", 30.0)),
-            significance=float(_resolve(args, cfg, "delta", 0.05)),
+            rho_scale=float(_resolve(args, cfg, "rho_rule", sim.RHO_SCALE)),
+            significance=float(_resolve(args, cfg, "delta", InferenceConfig.significance)),
             threads=threads,
         )
         text = sim.inference_csv_text(rows)
@@ -440,9 +435,8 @@ def _cmd_check(args) -> int:
         d = _resolve(args, cfg, "d")
         if d is None:
             raise InputError("sparse-eigen needs --matrix or --d with --toeplitz-rho")
-        rho = float(_resolve(args, cfg, "toeplitz_rho", 0.95))
-        idx = np.arange(int(d))
-        M = rho ** np.abs(idx[:, None] - idx[None, :])
+        rho = float(_resolve(args, cfg, "toeplitz_rho", sim.SimConfig.toeplitz_rho))
+        M = sim.toeplitz_covariance(int(d), rho)
     s_star = _resolve(args, cfg, "s_star")
     k_star = _resolve(args, cfg, "k_star")
     k = _resolve(args, cfg, "k")

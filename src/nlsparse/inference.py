@@ -21,6 +21,7 @@ statistical convention beta_1 .. beta_d.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "WaldResult",
     "normal_cdf",
     "normal_quantile",
+    "two_sided_p_value",
     "decorrelated_score",
     "score_variance",
     "score_test",
@@ -96,53 +98,20 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-# Rational approximation coefficients for the normal quantile (Acklam).
-_QA = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_QB = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-       6.680131188771972e+01, -1.328068155288572e+01)
-_QC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-       -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-       3.754408661907416e+00)
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, accurate to better than 1e-10.
-
-    A rational initial approximation is polished with one Newton step against
-    the erfc-based CDF; the residual is computed in whichever tail is
-    numerically stable.
-    """
+    """Inverse standard normal CDF (``statistics.NormalDist.inv_cdf``)."""
     if not (isinstance(p, (float, int, np.floating, np.integer)) and 0.0 < p < 1.0):
         raise InputError(f"quantile argument must lie strictly in (0, 1), got {p!r}")
-    p = float(p)
-    a, b, c, d = _QA, _QB, _QC, _QD
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+    return statistics.NormalDist().inv_cdf(float(p))
 
-    # Newton residual err = cdf(x) - p, computed in the stable tail:
-    # for p > 0.5 use cdf(x) - p = (1 - p) - erfc(x / sqrt 2) / 2.
-    if p <= 0.5:
-        err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    else:
-        err = (1.0 - p) - 0.5 * math.erfc(x / math.sqrt(2.0))
-    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    if pdf > 0.0:
-        x -= err / pdf
-    return x
+
+def two_sided_p_value(z: float) -> float:
+    """P(|Z| >= |z|) for standard normal Z, as erfc(|z| / sqrt 2).
+
+    Unlike ``2 * (1 - normal_cdf(|z|))`` it stays accurate in the far tail
+    instead of rounding to 0 beyond |z| of about 8.3.
+    """
+    return math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def _embed_w(d_hat: np.ndarray, j: int, d: int) -> np.ndarray:
@@ -225,7 +194,7 @@ def score_test(link: LinkFunction, data: Dataset, fit: FitResult, config: Infere
     var = score_variance(link, data, beta_tilde, dres.d_hat, j)
     sigma_s = math.sqrt(var)
     statistic = math.sqrt(data.n) * f_s / sigma_s
-    p_value = 2.0 * (1.0 - normal_cdf(abs(statistic)))
+    p_value = two_sided_p_value(statistic)
     z_crit = normal_quantile(1.0 - config.significance / 2.0)
     return ScoreTestResult(
         statistic=statistic,
@@ -275,7 +244,7 @@ def wald_estimate(link: LinkFunction, data: Dataset, fit: FitResult, config: Inf
     z_crit = normal_quantile(1.0 - config.significance / 2.0)
     half_width = z_crit * sigma_w / math.sqrt(data.n)
     statistic = math.sqrt(data.n) * (alpha_bar - config.null_value) / sigma_w
-    p_value = 2.0 * (1.0 - normal_cdf(abs(statistic)))
+    p_value = two_sided_p_value(statistic)
     return WaldResult(
         alpha_bar=alpha_bar,
         sigma_w=sigma_w,

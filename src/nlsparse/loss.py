@@ -50,8 +50,13 @@ def loss_gradient(link: LinkFunction, data: Dataset, beta) -> np.ndarray:
     beta = _check_beta(data, beta)
     with np.errstate(over="ignore", invalid="ignore"):
         u = data.design @ beta
-        weights = (data.response - link.eval(u)) * link.deriv(u)
-        grad = -(data.design.T @ weights) / data.n
+        return _gradient_at(link, data, u, data.response - link.eval(u))
+
+
+def _gradient_at(link, data, u, resid):
+    # Gradient from u = X beta and the residual y - f(u), for callers that hold
+    # both; they silence numpy's overflow warnings, the check reports the result.
+    grad = -(data.design.T @ (resid * link.deriv(u))) / data.n
     if not np.all(np.isfinite(grad)):
         raise NumericalError("loss_gradient: non-finite intermediate")
     return grad

@@ -139,7 +139,9 @@ def invert_link(link: LinkFunction, y):
 
     Uses bracket expansion (doubling an interval around 0, guaranteed to
     succeed since ``f' >= lower_slope > 0``) followed by safeguarded
-    Newton-bisection until ``|f(z) - y| <= 1e-10``.
+    Newton-bisection until ``|f(z) - y| <= 1e-10``. An entry bisects when its
+    Newton step would leave the bracket or its last step did not at least
+    halve ``|f(z) - y|``, which breaks the two-cycles Newton can fall into.
 
     Accepts a scalar or an array; returns a float or an array of the same
     shape.
@@ -163,17 +165,21 @@ def invert_link(link: LinkFunction, y):
         raise NumericalError("invert_link: no bracket found within 200 doublings")
 
     z = 0.5 * (lo + hi)
+    prev_err = np.full_like(target, np.inf)
     done = False
     for _ in range(200):
         err = link.eval(z) - target
-        if np.all(np.abs(err) <= 1e-10):
+        abs_err = np.abs(err)
+        converged = abs_err <= 1e-10
+        if np.all(converged):
             done = True
             break
         hi = np.where(err > 0.0, z, hi)
         lo = np.where(err < 0.0, z, lo)
         newton = z - err / link.deriv(z)
-        inside = (newton > lo) & (newton < hi)
-        z = np.where(inside, newton, 0.5 * (lo + hi))
+        use_newton = (newton > lo) & (newton < hi) & (converged | (abs_err <= 0.5 * prev_err))
+        z = np.where(use_newton, newton, 0.5 * (lo + hi))
+        prev_err = abs_err
     if not done:
         raise NumericalError("invert_link: Newton-bisection did not reach 1e-10")
 

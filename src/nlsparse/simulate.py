@@ -37,6 +37,10 @@ __all__ = [
     "BaselineRow",
     "InferenceRow",
     "TrialInference",
+    "LAMBDA_SCALE",
+    "RHO_SCALE",
+    "rate_rule",
+    "toeplitz_covariance",
     "sample_design",
     "make_beta_star",
     "generate",
@@ -56,8 +60,21 @@ _STREAM_NOISE = 2
 
 THREADS_ENV_VAR = "NLSPARSE_THREADS"
 
+# Default constants C of the lambda and rho rules (see rate_rule).
+LAMBDA_SCALE = 3.0
+RHO_SCALE = 30.0
+
 # Floor for rule-derived regularization when sigma = 0 (noiseless runs).
 _NOISELESS_LAMBDA = 1e-4
+
+
+def rate_rule(scale: float, sigma: float, n: int, d: int) -> float:
+    """scale * sigma * sqrt(log d / n), floored at 1e-4 when sigma = 0: the
+    lambda rule at scale LAMBDA_SCALE and the rho rule at scale RHO_SCALE."""
+    if not (scale > 0.0 and sigma >= 0.0):
+        raise InputError(f"rule needs scale > 0 and sigma >= 0, got {scale} and {sigma}")
+    value = scale * sigma * np.sqrt(np.log(d) / n)
+    return float(value) if value > 0.0 else _NOISELESS_LAMBDA
 
 
 @dataclass(frozen=True)
@@ -110,14 +127,13 @@ class SimConfig:
     def effective_sample(self) -> float:
         return float(np.sqrt(self.s_star * np.log(self.d) / self.n))
 
-    def lambda_rule(self, scale: float = 3.0) -> float:
-        """scale * sigma * sqrt(log d / n), floored at 1e-4 when sigma = 0."""
-        value = scale * self.noise_sd * np.sqrt(np.log(self.d) / self.n)
-        return float(value) if value > 0.0 else _NOISELESS_LAMBDA
+    def lambda_rule(self, scale: float = LAMBDA_SCALE) -> float:
+        """:func:`rate_rule` at this setting's sigma, n and d."""
+        return rate_rule(scale, self.noise_sd, self.n, self.d)
 
-    def rho_rule(self, scale: float = 30.0) -> float:
-        value = scale * self.noise_sd * np.sqrt(np.log(self.d) / self.n)
-        return float(value) if value > 0.0 else _NOISELESS_LAMBDA
+    def rho_rule(self, scale: float = RHO_SCALE) -> float:
+        """:func:`rate_rule` at this setting's sigma, n and d."""
+        return rate_rule(scale, self.noise_sd, self.n, self.d)
 
 
 @dataclass(frozen=True)
@@ -126,8 +142,6 @@ class TrialRecord:
     l2_error: float
     l1_error: float
     effective_sample: float
-    reject_null_true: Optional[bool] = None
-    reject_null_false: Optional[bool] = None
     runtime_ms: float = 0.0
     failure: Optional[str] = None
 
@@ -137,14 +151,18 @@ def _stream_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def toeplitz_covariance(d: int, rho: float) -> np.ndarray:
+    """The d x d matrix with entries rho^|j-k|."""
+    idx = np.arange(d)
+    return rho ** np.abs(idx[:, None] - idx[None, :])
+
+
 def sample_design(n: int, d: int, toeplitz_rho: float, rng: np.random.Generator) -> np.ndarray:
     """Draw n rows of N(0, Sigma), Sigma_jk = toeplitz_rho^|j-k|, via Cholesky."""
     if not 0.0 <= toeplitz_rho < 1.0:
         raise InputError(f"toeplitz_rho must lie in [0, 1), got {toeplitz_rho}")
-    idx = np.arange(d)
-    sigma = toeplitz_rho ** np.abs(idx[:, None] - idx[None, :])
     try:
-        chol = np.linalg.cholesky(sigma)
+        chol = np.linalg.cholesky(toeplitz_covariance(d, toeplitz_rho))
     except np.linalg.LinAlgError as exc:  # unreachable for rho < 1; defensive
         raise NumericalError(f"design covariance is not positive definite: {exc}") from exc
     return rng.standard_normal((n, d)) @ chol.T
@@ -255,7 +273,7 @@ def _mean_sd(values):
     return mean, sd
 
 
-def run_estimation_sweep(configs: Sequence[SimConfig], lambda_scale: float = 3.0,
+def run_estimation_sweep(configs: Sequence[SimConfig], lambda_scale: float = LAMBDA_SCALE,
                          lam: Optional[float] = None, threads: Optional[int] = None):
     """Fit every trial of every config; summarize l2/l1 errors per grid point.
 
@@ -361,7 +379,7 @@ def _baseline_trial(job):
     )
 
 
-def run_baseline_comparison(configs: Sequence[SimConfig], lambda_scale: float = 3.0,
+def run_baseline_comparison(configs: Sequence[SimConfig], lambda_scale: float = LAMBDA_SCALE,
                             cv_folds: int = 5, cv_grid_size: int = 30,
                             threads: Optional[int] = None):
     """Paired comparison: nonlinear fit vs Lasso on inverted responses.
@@ -467,8 +485,9 @@ def _inference_trial(job):
 
 
 def run_inference_trials(config: SimConfig, coordinates: Sequence[int],
-                         lambda_scale: float = 3.0, rho_scale: float = 30.0,
-                         significance: float = 0.05, threads: Optional[int] = None):
+                         lambda_scale: float = LAMBDA_SCALE, rho_scale: float = RHO_SCALE,
+                         significance: float = InferenceConfig.significance,
+                         threads: Optional[int] = None):
     """Fit + test every trial of one config at the given coordinates.
 
     Returns ``[(trial_index, [TrialInference, ...]), ...]`` ordered by trial.
@@ -497,8 +516,9 @@ def _rejection_rate(outcomes, coordinate, which):
 
 def run_inference_table(config: SimConfig, mu_grid: Optional[Sequence[float]] = None,
                         type1_coordinate: Optional[int] = None, power_coordinate: int = 1,
-                        lambda_scale: float = 3.0, rho_scale: float = 30.0,
-                        significance: float = 0.05, threads: Optional[int] = None):
+                        lambda_scale: float = LAMBDA_SCALE, rho_scale: float = RHO_SCALE,
+                        significance: float = InferenceConfig.significance,
+                        threads: Optional[int] = None):
     """Type-I error and power of both tests across signal strengths mu.
 
     For each mu the nonzero coefficients are set to the constant mu, the

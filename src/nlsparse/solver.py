@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, LineSearchError, NumericalError
-from .loss import loss_gradient, _check_beta
+from .loss import loss_gradient, _check_beta, _gradient_at
 from .model import Dataset, FitConfig, LinkFunction
 
 __all__ = [
@@ -67,7 +67,9 @@ class FitResult:
 
 def soft_threshold(u, a):
     """Soft-thresholding: sign(u) * max(|u| - a, 0), elementwise."""
-    if np.any(np.asarray(a) < 0):
+    # the solver's scalar threshold skips the array conversion
+    negative = a < 0.0 if isinstance(a, float) else np.any(np.asarray(a) < 0)
+    if negative:
         raise InputError("threshold must be nonnegative")
     return np.sign(u) * np.maximum(np.abs(u) - a, 0.0)
 
@@ -109,27 +111,28 @@ def acceptance_check(objective_history, phi_new: float, alpha_t: float, step, ze
 
     Accept iff ``phi_new <= max(window) - zeta * alpha_t / 2 * ||step||^2``
     where the window is the last ``min(memory + 1, len(history))`` entries of
-    ``objective_history``.
+    ``objective_history``, a list or a 1-d array.
     """
-    hist = np.asarray(objective_history, dtype=float)
-    if hist.size == 0:
+    if len(objective_history) == 0:
         raise InputError("objective_history must be nonempty")
     step = np.asarray(step, dtype=float)
-    window = hist[-min(memory + 1, hist.size):]
-    bound = float(window.max()) - zeta * alpha_t / 2.0 * float(step @ step)
+    window = objective_history[-(memory + 1):]
+    bound = float(max(window)) - zeta * alpha_t / 2.0 * float(step @ step)
     return bool(phi_new <= bound)
 
 
-def _objective(link, data, beta, lam, index=None):
-    # Non-raising objective for line-search candidates: +inf on overflow.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if index is None:
-            index = data.design @ beta
-        resid = data.response - link.eval(index)
-        value = 0.5 * float(resid @ resid) / data.n + lam * float(np.abs(beta).sum())
-    return value if np.isfinite(value) else np.inf
+def _objective(link, data, beta, lam):
+    # Non-raising objective for line-search candidates: +inf on overflow. Also
+    # returns u = X beta and y - f(u), for the gradient of an accepted candidate.
+    u = data.design @ beta
+    resid = data.response - link.eval(u)
+    value = 0.5 * float(resid @ resid) / data.n + lam * float(np.abs(beta).sum())
+    return (value if np.isfinite(value) else np.inf), u, resid
 
 
+# Overflow shows up as an infinite objective (the candidate is rejected) or as a
+# NumericalError from the gradient, so numpy's warnings are silenced in fit.
+@np.errstate(over="ignore", invalid="ignore")
 def fit(link: LinkFunction, data: Dataset, config: FitConfig) -> FitResult:
     """Minimize L(beta) + lam ||beta||_1 to stationarity.
 
@@ -163,10 +166,10 @@ def fit(link: LinkFunction, data: Dataset, config: FitConfig) -> FitResult:
         beta = config.init.copy()
     lam = config.lam
 
-    phi = _objective(link, data, beta, lam)
+    phi, u, resid = _objective(link, data, beta, lam)
     if not np.isfinite(phi):
         raise NumericalError("fit: objective is not finite at the starting point")
-    grad = loss_gradient(link, data, beta)
+    grad = _gradient_at(link, data, u, resid)
 
     history = [phi]
     alphas: list[float] = []
@@ -184,20 +187,14 @@ def fit(link: LinkFunction, data: Dataset, config: FitConfig) -> FitResult:
                 t, beta - prev_beta, grad - prev_grad, config.alpha_min, config.alpha_max
             )
 
-        accepted = False
         for _ in range(config.max_linesearch):
-            with np.errstate(over="ignore", invalid="ignore"):
-                cand = soft_threshold(beta - grad / alpha, lam / alpha)
+            cand = soft_threshold(beta - grad / alpha, lam / alpha)
             step = cand - beta
-            sqnorm = float(step @ step)
-            phi_cand = _objective(link, data, cand, lam)
-            window = history[-min(config.memory + 1, len(history)):]
-            bound = max(window) - config.zeta * alpha / 2.0 * sqnorm
-            if phi_cand <= bound:
-                accepted = True
+            phi_cand, u, resid = _objective(link, data, cand, lam)
+            if acceptance_check(history, phi_cand, alpha, step, config.zeta, config.memory):
                 break
             alpha *= config.eta
-        if not accepted:
+        else:
             partial = _build_result(
                 beta, grad, lam, t, history, alphas, step_sqnorms, False
             )
@@ -209,7 +206,8 @@ def fit(link: LinkFunction, data: Dataset, config: FitConfig) -> FitResult:
 
         prev_beta, prev_grad = beta, grad
         beta = cand
-        grad = loss_gradient(link, data, beta)
+        grad = _gradient_at(link, data, u, resid)
+        sqnorm = float(step @ step)
         history.append(phi_cand)
         alphas.append(alpha)
         step_sqnorms.append(sqnorm)

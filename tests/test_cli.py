@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from nlsparse import FitConfig, fit, load_dataset_csv
+from nlsparse import cli
 from nlsparse.cli import main
 from nlsparse.simulate import SimConfig, generate
 
@@ -59,6 +61,37 @@ class TestFitCommand:
         doc, _ = parse_doc(out)
         expected = 3.0 * np.sqrt(np.log(6) / 80)
         assert float(doc["lambda"]) == pytest.approx(expected, rel=1e-12)
+
+    def test_noiseless_lambda_rule_matches_library(self, capsys, dataset_csv):
+        code, out, _ = run_cli(capsys, "fit", "--data", str(dataset_csv),
+                               "--lambda-rule", "3", "--sigma", "0")
+        assert code == 0
+        noiseless = SimConfig(n=80, d=6, s_star=2, noise_sd=0.0)
+        assert float(parse_doc(out)[0]["lambda"]) == noiseless.lambda_rule(3)
+
+    def test_default_fit_matches_library(self, capsys, dataset_csv, paper):
+        code, out, _ = run_cli(capsys, "fit", "--data", str(dataset_csv), "--lambda", "0.05")
+        assert code == 0
+        doc, beta = parse_doc(out)
+        expected = fit(paper, load_dataset_csv(dataset_csv), FitConfig(lam=0.05))
+        assert float(doc["kkt_residual"]) == expected.kkt_residual
+        assert beta == {j + 1: float(expected.beta_hat[j])
+                        for j in np.flatnonzero(expected.beta_hat)}
+
+    def test_config_file_reaches_fit_config(self, capsys, dataset_csv, tmp_path, monkeypatch):
+        seen = []
+
+        def recording_fit(link, data, config):
+            seen.append(config)
+            return fit(link, data, config)
+
+        monkeypatch.setattr(cli, "fit", recording_fit)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lam": 0.1, "max_linesearch": 7, "alpha_min": 1e-20}))
+        code, _, _ = run_cli(capsys, "fit", "--data", str(dataset_csv),
+                             "--config", str(cfg_path), "--memory", "3")
+        assert code == 0
+        assert seen == [FitConfig(lam=0.1, max_linesearch=7, alpha_min=1e-20, memory=3)]
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "fit", "--data", str(tmp_path / "missing.csv"),

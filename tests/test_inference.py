@@ -22,6 +22,7 @@ from nlsparse import (
     score_test,
     score_variance,
     solve_dantzig,
+    two_sided_p_value,
     wald_estimate,
 )
 from nlsparse.simulate import SimConfig, generate
@@ -63,6 +64,18 @@ class TestNormalQuantile:
     def test_symmetry(self):
         for p in (0.01, 0.1, 0.3):
             assert normal_quantile(p) == pytest.approx(-normal_quantile(1 - p), abs=1e-12)
+
+
+class TestTwoSidedPValue:
+    def test_far_tail_does_not_underflow(self):
+        # 2 * (1 - normal_cdf(9)) rounds to exactly 0
+        assert two_sided_p_value(9.0) == pytest.approx(2.2571768119076e-19, rel=1e-12)
+        assert two_sided_p_value(-9.0) == two_sided_p_value(9.0)
+
+    def test_against_scipy(self):
+        for z in np.linspace(-30.0, 30.0, 241):
+            expected = 2.0 * float(scipy_norm.sf(abs(z)))
+            assert two_sided_p_value(float(z)) == pytest.approx(expected, rel=1e-12)
 
 
 def independent_score(link, data, beta, j, rho):

@@ -11,6 +11,7 @@ from nlsparse import (
     invert_link,
     load_dataset_csv,
 )
+from nlsparse.simulate import SimConfig, generate
 
 GRID = np.linspace(-100.0, 100.0, 10_000)
 
@@ -86,6 +87,21 @@ class TestInvertLink:
         y = np.asarray(paper.eval(GRID))
         z = invert_link(paper, y)
         assert np.max(np.abs(np.asarray(paper.eval(z)) - y)) <= 1e-10
+
+    def test_newton_two_cycle_target(self, paper):
+        # unguarded Newton alternates between about 8.24 and 14.07 here
+        y = 22.36675541792804
+        assert abs(paper.eval(invert_link(paper, y)) - y) <= 1e-10
+
+    def test_simulated_responses(self, paper):
+        # the baseline experiment's setting; seed 22, trial 1 holds the
+        # target above
+        for seed in range(25):
+            cfg = SimConfig(n=400, d=128, s_star=8, seed=seed)
+            for trial in range(2):
+                y = generate(cfg, trial)[0].response
+                z = invert_link(paper, y)
+                assert np.max(np.abs(np.asarray(paper.eval(z)) - y)) <= 1e-10, (seed, trial)
 
     def test_non_finite_rejected(self, paper):
         with pytest.raises(InputError):

@@ -10,6 +10,7 @@ from nlsparse.simulate import (
     generate,
     inference_csv_text,
     make_beta_star,
+    rate_rule,
     run_baseline_comparison,
     run_estimation_sweep,
     run_inference_table,
@@ -111,6 +112,11 @@ class TestGenerate:
         assert cfg.rho_rule(30.0) == pytest.approx(30 * np.sqrt(np.log(128) / 200))
         noiseless = SimConfig(n=200, d=128, s_star=10, noise_sd=0.0)
         assert noiseless.lambda_rule(3.0) == 1e-4  # floored, never zero
+
+    @pytest.mark.parametrize("scale,sigma", [(0.0, 1.0), (-3.0, 1.0), (3.0, -1.0)])
+    def test_rate_rule_rejects_bad_inputs(self, scale, sigma):
+        with pytest.raises(InputError):
+            rate_rule(scale, sigma, 200, 128)
 
     def test_effective_sample(self):
         cfg = SimConfig(n=200, d=128, s_star=10)
