@@ -259,6 +259,14 @@ def _inference_config(args, cfg, data):
     )
 
 
+def _dantzig_pairs(dres):
+    return [
+        ("dantzig_l1", dres.l1_norm),
+        ("dantzig_pivots", dres.pivots),
+        ("dantzig_vacuous", dres.vacuous),
+    ]
+
+
 def _cmd_test(args) -> int:
     cfg = _load_config(args)
     data, link, lam, result = _fit_from_args(args, cfg)
@@ -280,7 +288,6 @@ def _cmd_test(args) -> int:
             ("reject", res.reject),
             ("f_s", res.f_s),
             ("sigma_s", res.sigma_s),
-            ("dantzig_l1", res.d_hat.l1_norm),
         ]
     else:
         res = wald_estimate(link, data, result, inf_cfg)
@@ -290,9 +297,8 @@ def _cmd_test(args) -> int:
             ("reject", res.reject),
             ("alpha_bar", res.alpha_bar),
             ("sigma_w", res.sigma_w),
-            ("dantzig_l1", res.d_hat.l1_norm),
         ]
-    _emit(_doc(pairs), args.output)
+    _emit(_doc(pairs + _dantzig_pairs(res.d_hat)), args.output)
     return 0
 
 
@@ -311,6 +317,7 @@ def _cmd_ci(args) -> int:
         ("ci_low", res.ci_low),
         ("ci_high", res.ci_high),
         ("sigma_w", res.sigma_w),
+        *_dantzig_pairs(res.d_hat),
     ]), args.output)
     return 0
 

@@ -4,10 +4,17 @@ Solves
 
     minimize ||v||_1  subject to  ||h_ag - v' h_gg||_inf <= rho
 
-by an exact dense two-phase simplex with Bland's anti-cycling rule on the
-split-variable reformulation (v = p - q with p, q >= 0). Exactness keeps the
-downstream test statistics deterministic; ties among optimal vertices are
-broken by Bland's lowest-index rule, so repeated runs are reproducible.
+by a parametric simplex along rho (the Dantzig-selector path of James,
+Radchenko & Lv's DASSO; Pang, Liu, Vanderbei & Zhao's parametric simplex).
+At rho_max = max|h_ag| the vector v = 0 is optimal. Lowering rho moves the
+optimum linearly until a basic variable reaches zero; there one dual simplex
+pivot changes the basis, and the path goes on down to the target rho.
+
+A basis is an active set: the rows E where |h_ag - h_gg v| = rho, the
+support S of v (|E| = |S| = k) and the k x k block h_gg[E, S]. A pivot reads
+only the k rows of h_gg at E and S, so it costs O(m k) plus inverting that
+block, which each basis does afresh. Ties in the ratio tests go to the
+lowest index, so repeated runs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ class DantzigResult:
 
     ``d_hat`` is None when ``status == "infeasible"``. ``max_slack`` is
     ``rho - ||h_ag - h_gg d_hat||_inf``; nonnegative (within 1e-8) at an
-    optimum.
+    optimum. ``pivots`` counts the breakpoints passed on the way down from
+    rho_max; ``vacuous`` is ``rho >= max|h_ag|``, where ``d_hat = 0``.
     """
 
     d_hat: Optional[np.ndarray]
@@ -39,15 +47,17 @@ class DantzigResult:
     max_slack: float
     status: str
     message: str = ""
+    pivots: int = 0
+    vacuous: bool = False
 
 
 def solve_dantzig(h_ag, h_gg, rho: float) -> DantzigResult:
     """Minimize ||v||_1 subject to ||h_ag - v' h_gg||_inf <= rho.
 
     ``h_gg`` must be symmetric (checked to 1e-10) and ``rho`` positive. The
-    LP is solved exactly; feasibility and optimality are certified to 1e-8.
-    An infeasible program (possible only for rank-deficient ``h_gg``) is
-    reported through ``status`` rather than an exception.
+    LP is solved exactly; feasibility is certified to 1e-8. An infeasible
+    program (possible only for rank-deficient ``h_gg``) is reported through
+    ``status`` rather than an exception.
     """
     h_ag = np.asarray(h_ag, dtype=float)
     h_gg = np.asarray(h_gg, dtype=float)
@@ -60,21 +70,14 @@ def solve_dantzig(h_ag, h_gg, rho: float) -> DantzigResult:
         raise InputError("h_gg is not symmetric within 1e-10")
     if not (np.isfinite(rho) and rho > 0.0):
         raise InputError(f"rho must be a positive real, got {rho}")
-    if m == 0:
-        # No nuisance coordinates: the LP is vacuous.
-        return DantzigResult(
-            d_hat=np.zeros(0), l1_norm=0.0, max_slack=rho, status="optimal"
-        )
 
-    # Split v = p - q, x = (p, q) >= 0; both sides of the sup-norm constraint:
-    #   [ h_gg, -h_gg] x <= rho + h_ag
-    #   [-h_gg,  h_gg] x <= rho - h_ag
-    A = np.block([[h_gg, -h_gg], [-h_gg, h_gg]])
-    b = np.concatenate([rho + h_ag, rho - h_ag])
-    c = np.ones(2 * m)
+    rho_max = float(np.abs(h_ag).max(initial=0.0))
+    if rho >= rho_max:
+        return DantzigResult(d_hat=np.zeros(m), l1_norm=0.0, max_slack=rho - rho_max,
+                             status="optimal", vacuous=True)
 
-    status, x = _simplex_two_phase(c, A, b)
-    if status != "optimal":
+    v, pivots = _follow_path(h_ag, h_gg, rho, rho_max)
+    if v is None:
         return DantzigResult(
             d_hat=None,
             l1_norm=np.nan,
@@ -84,134 +87,128 @@ def solve_dantzig(h_ag, h_gg, rho: float) -> DantzigResult:
                 f"decorrelation LP infeasible at rho={rho:g}; "
                 "increase rho (the constraint radius)"
             ),
+            pivots=pivots,
         )
 
-    v = x[:m] - x[m:]
-    residual = h_ag - h_gg @ v
-    max_slack = rho - float(np.abs(residual).max())
+    max_slack = rho - float(np.abs(h_ag - h_gg @ v).max())
     if max_slack < -_FEAS_TOL:
         raise NumericalError(
-            f"simplex returned an infeasible vertex (slack {max_slack:.3e})"
+            f"parametric simplex returned an infeasible vertex (slack {max_slack:.3e})"
         )
     return DantzigResult(
         d_hat=v,
         l1_norm=float(np.abs(v).sum()),
         max_slack=max_slack,
         status="optimal",
+        pivots=pivots,
     )
 
 
-def _simplex_two_phase(c, A, b):
-    """Minimize c'x s.t. Ax <= b, x >= 0. Returns (status, x).
+def _follow_path(h_ag, h_gg, rho, rho_max):
+    """Lower the radius from ``rho_max`` to ``rho``. Returns ``(v, pivots)``.
 
-    status is "optimal" or "infeasible". Bland's rule everywhere: the
-    entering column is the lowest index with a negative reduced cost, the
-    leaving row breaks ratio ties by the lowest basic variable index.
+    ``v`` is None when the LP is infeasible at ``rho``. The basis is the
+    active rows E with residual signs sigma (h_ag - h_gg v = sigma * radius
+    there) and the support S with signs tau. Its dual z lives on E, solves
+    h_gg[S, E] z = tau and keeps |h_gg z| <= 1 and sigma * z >= 0; neither
+    depends on the radius, so every basis on the way down stays dual
+    feasible and each breakpoint is one dual simplex pivot.
+
+    Both ratio tests run over the 4m variables of the standard form, in
+    this order: p_j (v_j > 0), q_j (v_j < 0), and the slacks of the lower
+    and of the upper bound of each row; ties go to the lowest index.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = A.shape
+    m = h_ag.shape[0]
+    h_scale = float(np.abs(h_gg).max()) or 1.0
+    rows, row_sign, cols, col_sign = [], [], [], []
+    h_rows, inverse, tau = h_gg[:0], np.zeros((0, 0)), np.zeros(m)
+    # With the empty basis at rho_max, the row of max|h_ag| is the first
+    # basic variable to reach 0: its lower slack if h_ag < 0, else the upper.
+    radius = rho_max
+    _, leave = _min_ratio(np.concatenate([radius + h_ag, radius - h_ag]),
+                          np.ones(2 * m), np.ones(2 * m, dtype=bool))
+    leave += 2 * m
+    for pivots in range(1, 1000 + 50 * m):
+        # Dual ratio test: move z off the dual constraint of the leaving
+        # variable until another one becomes tight; its variable enters.
+        # z = inverse' tau. Scaling dz to max|dz| = 1, and the rows for p and
+        # q by 1 / max|h_gg|, leaves the ratios as they are and makes the
+        # pivot tolerance relative.
+        z = col_sign @ inverse
+        free = tau == 0.0
+        if leave < 2 * m:  # v_j reached 0: (h_gg z)_j = tau_j is relaxed
+            p = cols.index(leave % m)
+            free[cols[p]] = True
+            dz = -col_sign[p] * inverse[p]
+        else:  # row i reached the radius: it joins E, z_i moves by sigma_i
+            p, i, sigma = None, leave % m, 1.0 if leave >= 3 * m else -1.0
+            z, dz = np.append(z, 0.0), np.append(-sigma * (h_gg[i, cols] @ inverse), sigma)
+            rows.append(i)
+            row_sign.append(sigma)
+            h_rows = np.vstack([h_rows, h_gg[i]])
+        dz /= np.abs(dz).max()
+        g, dg = np.stack([z, dz]) @ h_rows
+        z_all, dz_all, sign_all = np.zeros(m), np.zeros(m), np.zeros(m)
+        z_all[rows], dz_all[rows], sign_all[rows] = z, dz, row_sign
+        _, enter = _min_ratio(
+            np.concatenate([(1.0 - g) / h_scale, (1.0 + g) / h_scale, -z_all, z_all]),
+            np.concatenate([dg / h_scale, -dg / h_scale, dz_all, -dz_all]),
+            np.concatenate([free, free, sign_all < 0, sign_all > 0]))
+        if enter is None:
+            return None, pivots - 1
+        if enter < 2 * m:  # v_j joins S with sign tau_j
+            j, sign = enter % m, 1.0 if enter < m else -1.0
+            if p is None:
+                cols.append(j)
+                col_sign.append(sign)
+            else:
+                cols[p], col_sign[p] = j, sign
+        else:  # z_i reached 0: row i leaves E
+            q = rows.index(enter % m)
+            del rows[q], row_sign[q]
+            if p is not None:
+                del cols[p], col_sign[p]
 
-    # Equality form A x + diag(sign) s = b with b >= 0 after flipping rows.
-    flip = b < 0.0
-    A1 = np.where(flip[:, None], -A, A)
-    b1 = np.where(flip, -b, b)
-    slack = np.diag(np.where(flip, -1.0, 1.0))
-    art_rows = np.flatnonzero(flip)
-    n_art = art_rows.size
+        # The new basis: v_S = base - radius * speed. Lowering the radius by
+        # t moves v_S by t * speed and h_gg v by t * drift.
+        h_rows = h_gg[rows]
+        try:
+            inverse = np.linalg.inv(h_rows[:, cols])
+        except np.linalg.LinAlgError:
+            raise NumericalError("parametric simplex reached a singular basis") from None
+        base, speed = inverse @ h_ag[rows], inverse @ row_sign
+        fixed, drift = np.stack([base, speed]) @ h_gg[cols]
+        resid = h_ag - fixed + radius * drift
+        v, rate, tau = np.zeros(m), np.zeros(m), np.zeros(m)
+        scale = np.abs(speed).max(initial=0.0) or 1.0  # relative tolerance, as above
+        v[cols], rate[cols], tau[cols] = (base - radius * speed) / scale, speed / scale, col_sign
+        inactive = np.ones(m, dtype=bool)
+        inactive[rows] = False
 
-    n_cols = n + m + n_art
-    T = np.zeros((m, n_cols + 1))
-    T[:, :n] = A1
-    T[:, n:n + m] = slack
-    for k, i in enumerate(art_rows):
-        T[i, n + m + k] = 1.0
-    T[:, -1] = b1
-
-    basis = np.empty(m, dtype=int)
-    basis[:] = n + np.arange(m)  # slacks
-    basis[art_rows] = n + m + np.arange(n_art)  # artificials where flipped
-
-    if n_art > 0:
-        cost1 = np.zeros(n_cols + 1)
-        cost1[n + m:n_cols] = 1.0
-        obj = cost1.copy()
-        for i in range(m):
-            if obj[basis[i]] != 0.0:
-                obj -= obj[basis[i]] * T[i]
-        if not _run_simplex(T, basis, obj):
-            raise NumericalError("simplex phase 1 reported unbounded (impossible)")
-        if -obj[-1] > _FEAS_TOL:
-            return "infeasible", None
-        T, basis = _drop_artificials(T, basis, n + m)
-        m = T.shape[0]
-
-    cost2 = np.zeros(T.shape[1])
-    cost2[:n] = c
-    obj = cost2.copy()
-    for i in range(m):
-        if obj[basis[i]] != 0.0:
-            obj -= obj[basis[i]] * T[i]
-    if not _run_simplex(T, basis, obj):
-        raise NumericalError("simplex phase 2 reported unbounded")
-
-    x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = max(T[i, -1], 0.0)
-    return "optimal", x
-
-
-def _run_simplex(T, basis, obj):
-    """Pivot until all reduced costs are nonnegative. False on unbounded."""
-    m = T.shape[0]
-    limit = 1000 + 50 * T.shape[1]
-    n_scan = T.shape[1] - 1
-    for _ in range(limit):
-        negative = np.flatnonzero(obj[:n_scan] < -_PIVOT_TOL)
-        if negative.size == 0:
-            return True
-        col = int(negative[0])
-
-        ratios = np.full(m, np.inf)
-        positive = T[:, col] > _PIVOT_TOL
-        ratios[positive] = T[positive, -1] / T[positive, col]
-        best = ratios.min()
-        if not np.isfinite(best):
-            return False
-        tie = ratios <= best + 1e-12 * (1.0 + abs(best))
-        row = int(min(np.flatnonzero(tie), key=lambda i: basis[i]))
-
-        _pivot(T, obj, row, col)
-        basis[row] = col
-    raise NumericalError("simplex exceeded the pivot limit")
-
-
-def _pivot(T, obj, row, col):
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    obj -= obj[col] * T[row]
+        # Primal ratio test: the next breakpoint is where a basic variable
+        # (a support coefficient or the slack of an inactive row) reaches 0.
+        step, leave = _min_ratio(
+            np.concatenate([v, -v, radius + resid, radius - resid]),
+            np.concatenate([-rate, rate, 1.0 + drift, 1.0 - drift]),
+            np.concatenate([tau > 0, tau < 0, inactive, inactive]))
+        if leave is None or radius - step <= rho:
+            v[cols] = base - rho * speed
+            return v, pivots
+        radius -= step
+    raise NumericalError("parametric simplex exceeded the pivot limit")
 
 
-def _drop_artificials(T, basis, first_art):
-    """Pivot artificial variables out of the basis, dropping redundant rows."""
-    keep = np.ones(T.shape[0], dtype=bool)
-    dummy_obj = np.zeros(T.shape[1])
-    for i in range(T.shape[0]):
-        if basis[i] < first_art:
-            continue
-        pivot_col = -1
-        for j in range(first_art):
-            if abs(T[i, j]) > _PIVOT_TOL:
-                pivot_col = j
-                break
-        if pivot_col >= 0:
-            _pivot(T, dummy_obj, i, pivot_col)
-            basis[i] = pivot_col
-        else:
-            keep[i] = False  # redundant constraint row
-    T = np.hstack([T[keep][:, :first_art], T[keep][:, -1:]])
-    return T, basis[keep]
+def _min_ratio(value, rate, eligible):
+    """``(value / rate, index)`` of the first variable to reach 0, else ``(None, None)``.
+
+    Only ``eligible`` variables that decrease, at a ``rate`` above the pivot
+    tolerance, take part. Near-ties go to the lowest index.
+    """
+    eligible = eligible & (rate > _PIVOT_TOL)
+    if not eligible.any():
+        return None, None
+    ratio = np.full(value.shape, np.inf)
+    ratio[eligible] = np.maximum(value[eligible], 0.0) / rate[eligible]
+    best = ratio.min()
+    k = int(np.argmax(ratio <= best + 1e-12 * (1.0 + abs(best))))
+    return float(ratio[k]), k

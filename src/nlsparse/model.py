@@ -139,9 +139,11 @@ def invert_link(link: LinkFunction, y):
 
     Uses bracket expansion (doubling an interval around 0, guaranteed to
     succeed since ``f' >= lower_slope > 0``) followed by safeguarded
-    Newton-bisection until ``|f(z) - y| <= 1e-10``. An entry bisects when its
-    Newton step would leave the bracket or its last step did not at least
-    halve ``|f(z) - y|``, which breaks the two-cycles Newton can fall into.
+    Newton-bisection until ``|f(z) - y| <= max(1e-10, 4 * spacing(|y|))``.
+    The second term takes over above |y| of about 1e5, where 1e-10 is finer
+    than the float spacing of f(z). An entry bisects when its Newton step
+    would leave the bracket or its last step did not at least halve
+    ``|f(z) - y|``, which breaks the two-cycles Newton can fall into.
 
     Accepts a scalar or an array; returns a float or an array of the same
     shape.
@@ -165,12 +167,13 @@ def invert_link(link: LinkFunction, y):
         raise NumericalError("invert_link: no bracket found within 200 doublings")
 
     z = 0.5 * (lo + hi)
+    tol = np.maximum(1e-10, 4.0 * np.spacing(np.abs(target)))
     prev_err = np.full_like(target, np.inf)
     done = False
     for _ in range(200):
         err = link.eval(z) - target
         abs_err = np.abs(err)
-        converged = abs_err <= 1e-10
+        converged = abs_err <= tol
         if np.all(converged):
             done = True
             break
@@ -181,7 +184,7 @@ def invert_link(link: LinkFunction, y):
         z = np.where(use_newton, newton, 0.5 * (lo + hi))
         prev_err = abs_err
     if not done:
-        raise NumericalError("invert_link: Newton-bisection did not reach 1e-10")
+        raise NumericalError("invert_link: Newton-bisection did not reach its tolerance")
 
     if scalar:
         return float(z[0])

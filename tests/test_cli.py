@@ -149,6 +149,24 @@ class TestTestCommand:
         doc, _ = parse_doc(out)
         assert "alpha_bar" in doc and "sigma_w" in doc
 
+    @pytest.mark.parametrize("method", ["score", "wald"])
+    def test_dantzig_account(self, capsys, dataset_csv, method):
+        # a small radius needs pivots; a radius above max|h_ag| is vacuous
+        docs = []
+        for rho in ("0.01", "1e6"):
+            code, out, _ = run_cli(capsys, "test", "--data", str(dataset_csv),
+                                   "--lambda", "0.1", "--coordinate", "1",
+                                   "--method", method, "--rho", rho)
+            assert code == 0
+            docs.append(parse_doc(out)[0])
+        tight, loose = docs
+        assert tight["dantzig_vacuous"] == "false"
+        assert int(tight["dantzig_pivots"]) >= 1
+        assert float(tight["dantzig_l1"]) > 0.0
+        assert loose["dantzig_vacuous"] == "true"
+        assert loose["dantzig_pivots"] == "0"
+        assert float(loose["dantzig_l1"]) == 0.0
+
     def test_degenerate_variance_exits_2(self, capsys, tmp_path):
         # dead covariate column: the tested direction carries no information
         rng = np.random.default_rng(3)
@@ -180,6 +198,15 @@ class TestCiCommand:
         doc, _ = parse_doc(out)
         lo, hi, mid = float(doc["ci_low"]), float(doc["ci_high"]), float(doc["alpha_bar"])
         assert lo <= mid <= hi
+
+    def test_dantzig_account(self, capsys, dataset_csv):
+        code, out, _ = run_cli(capsys, "ci", "--data", str(dataset_csv),
+                               "--lambda", "0.1", "--coordinate", "1", "--rho", "0.01")
+        assert code == 0
+        doc, _ = parse_doc(out)
+        assert doc["dantzig_vacuous"] == "false"
+        assert int(doc["dantzig_pivots"]) >= 1
+        assert float(doc["dantzig_l1"]) > 0.0
 
 
 class TestSimulateCommand:

@@ -1,9 +1,13 @@
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from nlsparse import InputError, solve_dantzig
+from nlsparse import FitConfig, InputError, builtin_link, fit, solve_dantzig
+from nlsparse.loss import hessian_partition, loss_hessian
+from nlsparse.simulate import ConstantBeta, SimConfig, generate, rate_rule
 
 
 def enumerate_lp_optimum(h_ag, h_gg, rho):
@@ -33,6 +37,32 @@ def enumerate_lp_optimum(h_ag, h_gg, rho):
     return best
 
 
+def highs_optimum(h_ag, h_gg, rho):
+    """Independent oracle: HiGHS on the split-variable form (None if infeasible)."""
+    m = len(h_ag)
+    A = np.block([[h_gg, -h_gg], [-h_gg, h_gg]])
+    b = np.concatenate([rho + h_ag, rho - h_ag])
+    res = linprog(np.ones(2 * m), A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+    return res.fun if res.status == 0 else None
+
+
+@lru_cache(maxsize=None)
+def fitted_partition(n, d):
+    """The LP of a score test at coordinate 11 after generate + fit (mu = 0.5).
+
+    Returns ``(h_ag, h_gg, unit)``; the radius at rho-scale C is C * unit.
+    At n = 100, d = 256 the Hessian h_gg is rank-deficient.
+    """
+    cfg = SimConfig(n=n, d=d, s_star=10, seed=7, beta_mode=ConstantBeta(mu=0.5))
+    data, _ = generate(cfg, 0)
+    link = builtin_link("paper")
+    beta = fit(link, data, FitConfig(lam=cfg.lambda_rule())).beta_hat.copy()
+    beta[10] = 0.0
+    _, h_ag, h_gg = hessian_partition(loss_hessian(link, data, beta), 11)
+    h_ag.flags.writeable = h_gg.flags.writeable = False
+    return h_ag, h_gg, rate_rule(1.0, cfg.noise_sd, n, d)
+
+
 def random_problem(rng, m):
     A = rng.standard_normal((m + 2, m))
     h_gg = A.T @ A / (m + 2) + 0.1 * np.eye(m)
@@ -58,14 +88,26 @@ class TestClosedForms:
         assert res.d_hat is None
         assert "rho" in res.message
 
+    def test_infeasible_below_breakpoint(self):
+        # rows of h_gg span only the first coordinate, so h_ag = (0, 1)
+        # cannot be matched closer than 1
+        h_ag, h_gg = np.array([0.0, 1.0]), np.diag([1.0, 0.0])
+        res = solve_dantzig(h_ag, h_gg, 0.5)
+        assert res.status == "infeasible"
+        assert res.d_hat is None
+        assert "rho" in res.message
+        assert solve_dantzig(h_ag, h_gg, 1.0).status == "optimal"
+
     def test_zero_shortcut_exact(self):
         rng = np.random.default_rng(0)
         for m in (1, 3, 5):
             h_ag, h_gg = random_problem(rng, m)
-            rho = float(np.abs(h_ag).max()) * 1.0001
-            res = solve_dantzig(h_ag, h_gg, rho)
-            assert res.status == "optimal"
-            assert np.all(res.d_hat == 0.0)
+            rho_max = float(np.abs(h_ag).max())
+            for rho in (rho_max, rho_max * 1.0001):
+                res = solve_dantzig(h_ag, h_gg, rho)
+                assert res.status == "optimal"
+                assert np.all(res.d_hat == 0.0)
+                assert res.vacuous and res.pivots == 0
 
     def test_no_nuisance_dimension(self):
         res = solve_dantzig(np.zeros(0), np.zeros((0, 0)), 1.0)
@@ -139,3 +181,25 @@ class TestValidation:
     def test_shape_mismatch(self):
         with pytest.raises(InputError):
             solve_dantzig(np.array([0.1, 0.2]), np.array([[1.0]]), 0.5)
+
+
+class TestFittedHessians:
+    @pytest.mark.parametrize("n, d, scale", [
+        (200, 64, 0.5), (200, 64, 2.0), (200, 128, 0.5), (200, 128, 2.0),
+        (200, 256, 0.5), (200, 256, 2.0), (100, 256, 0.5), (100, 256, 2.0),
+    ])
+    def test_against_highs(self, n, d, scale):
+        h_ag, h_gg, unit = fitted_partition(n, d)
+        rho = scale * unit
+        res = solve_dantzig(h_ag, h_gg, rho)
+        assert res.status == "optimal" and not res.vacuous and res.pivots >= 1
+        assert float(np.abs(h_ag - h_gg @ res.d_hat).max()) <= rho + 1e-8
+        assert res.l1_norm == pytest.approx(highs_optimum(h_ag, h_gg, rho), rel=1e-9)
+
+    def test_repeated_solves_bitwise_equal(self):
+        h_ag, h_gg, unit = fitted_partition(200, 128)
+        first, second = (solve_dantzig(h_ag, h_gg, 0.5 * unit) for _ in range(2))
+        assert first.d_hat.tobytes() == second.d_hat.tobytes()
+        assert (first.l1_norm, first.max_slack, first.pivots) == (
+            second.l1_norm, second.max_slack, second.pivots)
+

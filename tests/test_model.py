@@ -103,6 +103,14 @@ class TestInvertLink:
                 z = invert_link(paper, y)
                 assert np.max(np.abs(np.asarray(paper.eval(z)) - y)) <= 1e-10, (seed, trial)
 
+    @pytest.mark.parametrize("name", ["paper", "identity"])
+    @pytest.mark.parametrize("y", [1e6, -1e6, 1e7])
+    def test_large_targets(self, name, y):
+        # above |y| of about 1e5 the float spacing of f(z) exceeds 1e-10
+        link = builtin_link(name)
+        z = invert_link(link, y)
+        assert abs(link.eval(z) - y) <= 4.0 * np.spacing(abs(y))
+
     def test_non_finite_rejected(self, paper):
         with pytest.raises(InputError):
             invert_link(paper, np.nan)
