@@ -125,7 +125,8 @@ def _build_parser():
     p_sim.add_argument("--power-coordinate", dest="power_coordinate", type=int,
                        help="null-false coordinate for the table (default 1)")
     p_sim.add_argument("--threads", type=int,
-                       help=f"worker processes (default ${sim.THREADS_ENV_VAR} or CPU count)")
+                       help="worker processes, each trial on one BLAS thread "
+                            f"(default ${sim.THREADS_ENV_VAR} or the usable CPU count)")
     _add_common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -9,8 +9,9 @@ Randomness uses the counter-based Philox generator keyed by
 (seed, trial_index, stream), where stream 0 draws the design, stream 1 the
 nonzero coefficients and stream 2 the noise. Every trial is therefore an
 independent, reproducible function of (seed, trial_index), regardless of how
-many worker processes run the trials, and experiment CSV output is
-byte-identical across reruns and thread counts.
+many worker processes run the trials. Every trial runs with one BLAS thread,
+so experiment CSV output is byte-identical across reruns, worker counts and
+BLAS thread defaults.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -201,22 +203,64 @@ def generate(config: SimConfig, trial: int):
 
 
 def default_threads() -> int:
-    """Worker count for trial parallelism: NLSPARSE_THREADS or the CPU count."""
+    """Worker count for trial parallelism: NLSPARSE_THREADS, or the number of
+    CPUs this process may run on (the CPU count where that is unknown)."""
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise InputError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1
 
 
+def _set_blas_threads(count: int) -> Optional[int]:
+    """Set numpy's bundled OpenBLAS to ``count`` threads; return the previous count.
+
+    Returns None and changes nothing when no OpenBLAS handle is found (other
+    BLAS builds), which then run with their own thread count.
+    """
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        previous = int(get())
+        set_(int(count))
+        return previous
+    return None
+
+
 def _map_trials(worker, jobs, threads):
+    """``[worker(job) for job in jobs]``, in order, on ``threads`` processes.
+
+    Every trial runs with one BLAS thread, in the pool and in the serial loop
+    alike: the BLAS thread count changes the last bits of matrix products, so
+    pinning it keeps results independent of the worker count and of the
+    machine's BLAS default, and it keeps workers x BLAS threads from
+    oversubscribing the cores.
+    """
     threads = default_threads() if threads is None else max(1, int(threads))
     if threads == 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
+        previous = _set_blas_threads(1)
+        try:
+            return [worker(job) for job in jobs]
+        finally:
+            if previous is not None:
+                _set_blas_threads(previous)
     chunksize = max(1, len(jobs) // (4 * threads))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=threads, initializer=_set_blas_threads,
+                             initargs=(1,)) as pool:
         return list(pool.map(worker, jobs, chunksize=chunksize))
 
 
@@ -280,11 +324,14 @@ def run_estimation_sweep(configs: Sequence[SimConfig], lambda_scale: float = LAM
     ``lam`` overrides the default rule lambda = lambda_scale * sigma *
     sqrt(log d / n). Individual trial failures are counted, not fatal.
     """
-    rows = []
+    jobs = []
     for config in configs:
         lam_point = lam if lam is not None else config.lambda_rule(lambda_scale)
-        jobs = [(config, trial, lam_point) for trial in range(config.trials)]
-        records = _map_trials(_sweep_trial, jobs, threads)
+        jobs += [(config, trial, lam_point) for trial in range(config.trials)]
+    results = iter(_map_trials(_sweep_trial, jobs, threads))
+    rows = []
+    for config in configs:
+        records = list(islice(results, config.trials))
         good = [r for r in records if r.failure is None]
         mean_l2, sd_l2 = _mean_sd([r.l2_error for r in good])
         mean_l1, sd_l1 = _mean_sd([r.l1_error for r in good])
@@ -389,11 +436,14 @@ def run_baseline_comparison(configs: Sequence[SimConfig], lambda_scale: float = 
     where either side fails are excluded from both means (pairing preserved)
     and counted in ``failures``.
     """
-    rows = []
+    jobs = []
     for config in configs:
         lam = config.lambda_rule(lambda_scale)
-        jobs = [(config, t, lam, cv_folds, cv_grid_size) for t in range(config.trials)]
-        outcomes = _map_trials(_baseline_trial, jobs, threads)
+        jobs += [(config, t, lam, cv_folds, cv_grid_size) for t in range(config.trials)]
+    results = iter(_map_trials(_baseline_trial, jobs, threads))
+    rows = []
+    for config in configs:
+        outcomes = list(islice(results, config.trials))
         good = [(p, b) for (_, p, b, failure) in outcomes if failure is None]
         p_l2, p_l1 = zip(*[p for p, _ in good]) if good else ((), ())
         b_l2, b_l1 = zip(*[b for _, b in good]) if good else ((), ())
@@ -484,6 +534,16 @@ def _inference_trial(job):
     return trial, out
 
 
+def _inference_jobs(config, coordinates, lambda_scale, rho_scale, significance):
+    lam = config.lambda_rule(lambda_scale)
+    rho = config.rho_rule(rho_scale)
+    coords = tuple(int(j) for j in coordinates)
+    for j in coords:
+        if not 1 <= j <= config.d:
+            raise InputError(f"coordinate {j} outside 1..{config.d}")
+    return [(config, t, coords, lam, rho, significance) for t in range(config.trials)]
+
+
 def run_inference_trials(config: SimConfig, coordinates: Sequence[int],
                          lambda_scale: float = LAMBDA_SCALE, rho_scale: float = RHO_SCALE,
                          significance: float = InferenceConfig.significance,
@@ -491,16 +551,10 @@ def run_inference_trials(config: SimConfig, coordinates: Sequence[int],
     """Fit + test every trial of one config at the given coordinates.
 
     Returns ``[(trial_index, [TrialInference, ...]), ...]`` ordered by trial.
-    This is the building block of :func:`run_inference_table`; use it
-    directly when per-trial detail (e.g. CI coverage) is needed.
+    :func:`run_inference_table` runs these trials for every mu at once; use
+    this directly when per-trial detail (e.g. CI coverage) is needed.
     """
-    lam = config.lambda_rule(lambda_scale)
-    rho = config.rho_rule(rho_scale)
-    coords = tuple(int(j) for j in coordinates)
-    for j in coords:
-        if not 1 <= j <= config.d:
-            raise InputError(f"coordinate {j} outside 1..{config.d}")
-    jobs = [(config, t, coords, lam, rho, significance) for t in range(config.trials)]
+    jobs = _inference_jobs(config, coordinates, lambda_scale, rho_scale, significance)
     return _map_trials(_inference_trial, jobs, threads)
 
 
@@ -534,12 +588,14 @@ def run_inference_table(config: SimConfig, mu_grid: Optional[Sequence[float]] = 
         type1_coordinate = config.s_star + 1
     coordinates = (type1_coordinate, power_coordinate)
 
-    rows = []
+    jobs = []
     for mu in mu_grid:
         cfg = replace(config, beta_mode=ConstantBeta(mu=float(mu)))
-        outcomes = run_inference_trials(
-            cfg, coordinates, lambda_scale, rho_scale, significance, threads
-        )
+        jobs += _inference_jobs(cfg, coordinates, lambda_scale, rho_scale, significance)
+    results = iter(_map_trials(_inference_trial, jobs, threads))
+    rows = []
+    for mu in mu_grid:
+        outcomes = list(islice(results, config.trials))
         excluded = sum(
             1 for _, per_trial in outcomes if any(o.failure is not None for o in per_trial)
         )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from nlsparse.simulate import (
     run_inference_trials,
     sample_design,
     sweep_csv_text,
+    _set_blas_threads,
     _stream_rng,
 )
 
@@ -216,6 +219,38 @@ class TestInferenceTable:
         with pytest.raises(InputError):
             run_inference_trials(cfg, coordinates=(9,), threads=1)
 
+    def test_table_coordinate_validated_before_any_trial(self, monkeypatch):
+        import nlsparse.simulate as sim
+
+        def no_trials(*args):
+            raise AssertionError("trials ran before the coordinates were validated")
+
+        monkeypatch.setattr(sim, "_map_trials", no_trials)
+        cfg = SimConfig(n=30, d=8, s_star=2, seed=1, trials=2)
+        with pytest.raises(InputError):
+            run_inference_table(cfg, mu_grid=[0.0, 0.5], type1_coordinate=9)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_table_rows_equal_the_per_mu_trials(self, threads):
+        cfg = SimConfig(n=60, d=12, s_star=3, noise_sd=1.0, seed=44, trials=3)
+        rows = run_inference_table(cfg, mu_grid=[0.0, 0.5], threads=threads)
+        assert [row.mu for row in rows] == [0.0, 0.5]
+        for row in rows:
+            outcomes = run_inference_trials(replace(cfg, beta_mode=ConstantBeta(row.mu)),
+                                            coordinates=(4, 1), threads=1)
+
+            def rate(coordinate, which):
+                flags = [getattr(o, which) for _, per in outcomes for o in per
+                         if o.coordinate == coordinate and getattr(o, which) is not None]
+                return float(np.mean(flags))
+
+            assert (row.score_type1, row.score_power, row.wald_type1, row.wald_power) == (
+                rate(4, "score_reject"), rate(1, "score_reject"),
+                rate(4, "wald_reject"), rate(1, "wald_reject"))
+            assert row.trials == 3
+            assert row.excluded == sum(
+                any(o.failure is not None for o in per) for _, per in outcomes)
+
 
 class TestThreadDefaults:
     def test_env_var_controls_default(self, monkeypatch):
@@ -228,6 +263,64 @@ class TestThreadDefaults:
             default_threads()
         monkeypatch.delenv(THREADS_ENV_VAR)
         assert default_threads() >= 1
+
+    def test_default_is_the_usable_cpu_count(self, monkeypatch):
+        import os
+
+        from nlsparse.simulate import THREADS_ENV_VAR, default_threads
+
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert default_threads() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert default_threads() == 8
+
+
+def _needs_openblas():
+    previous = _set_blas_threads(1)
+    if previous is None:
+        pytest.skip("no OpenBLAS handle found")
+    _set_blas_threads(previous)
+    return previous
+
+
+class TestBlasThreads:
+    def test_serial_map_pins_one_thread_and_restores_the_callers(self):
+        from nlsparse.simulate import _map_trials
+
+        caller = _needs_openblas()
+        try:
+            _set_blas_threads(3)
+            # each job reports the count it found and then sets its own
+            assert _map_trials(_set_blas_threads, [5, 5], threads=1) == [1, 5]
+            assert _set_blas_threads(3) == 3
+            with pytest.raises(ValueError):  # int("not a count") in the trial
+                _map_trials(_set_blas_threads, ["not a count"], threads=1)
+            assert _set_blas_threads(3) == 3
+        finally:
+            _set_blas_threads(caller)
+
+    def test_pool_workers_run_one_thread(self):
+        from nlsparse.simulate import _map_trials
+
+        _needs_openblas()
+        assert _map_trials(_set_blas_threads, [1] * 4, threads=2) == [1] * 4
+
+    def test_sweep_csv_independent_of_workers_and_caller_blas_threads(self):
+        # at d = 128, n = 1600 OpenBLAS threads the matrix products, and the
+        # thread count changes the last bits of the fits
+        caller = _needs_openblas()
+        configs = [SimConfig(n=1600, d=128, s_star=5, noise_sd=1.0, seed=7, trials=2)]
+        texts = set()
+        try:
+            for caller_threads in (1, 2):
+                _set_blas_threads(caller_threads)
+                for threads in (1, 2):
+                    texts.add(sweep_csv_text(run_estimation_sweep(configs, threads=threads)))
+        finally:
+            _set_blas_threads(caller)
+        assert len(texts) == 1
 
 
 class TestCsvFormatting:
