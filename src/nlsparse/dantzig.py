@@ -13,8 +13,11 @@ pivot changes the basis, and the path goes on down to the target rho.
 A basis is an active set: the rows E where |h_ag - h_gg v| = rho, the
 support S of v (|E| = |S| = k) and the k x k block h_gg[E, S]. A pivot reads
 only the k rows of h_gg at E and S, so it costs O(m k) plus inverting that
-block, which each basis does afresh. Ties in the ratio tests go to the
-lowest index, so repeated runs are bitwise reproducible.
+block, which each basis does afresh. The solver takes h_gg through a row
+accessor and reads each row once, so a caller that can compute rows (the
+inference code, from the data) never forms the m x m matrix. Ties in the
+ratio tests go to the lowest index, so repeated runs are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -70,13 +73,26 @@ def solve_dantzig(h_ag, h_gg, rho: float) -> DantzigResult:
         raise InputError("h_gg is not symmetric within 1e-10")
     if not (np.isfinite(rho) and rho > 0.0):
         raise InputError(f"rho must be a positive real, got {rho}")
+    return _solve(h_ag, h_gg.__getitem__, h_gg.diagonal, rho)
 
+
+def _solve(h_ag, h_gg_rows, h_gg_diagonal, rho):
+    """:func:`solve_dantzig` with h_gg given by ``h_gg_rows(idx) -> h_gg[idx]``
+    and ``h_gg_diagonal() -> diag(h_gg)``, for a symmetric h_gg.
+
+    Neither is called when the LP is vacuous; otherwise only the rows of the
+    bases on the path are read, each once.
+    """
+    m = h_ag.shape[0]
     rho_max = float(np.abs(h_ag).max(initial=0.0))
     if rho >= rho_max:
         return DantzigResult(d_hat=np.zeros(m), l1_norm=0.0, max_slack=rho - rho_max,
                              status="optimal", vacuous=True)
 
-    v, pivots = _follow_path(h_ag, h_gg, rho, rho_max)
+    h_gg_rows = _row_cache(h_gg_rows, m)
+    # For a positive semidefinite h_gg, max|diag| = max|h_gg|.
+    h_scale = float(np.abs(h_gg_diagonal()).max()) or 1.0
+    v, pivots = _follow_path(h_ag, h_gg_rows, h_scale, rho, rho_max)
     if v is None:
         return DantzigResult(
             d_hat=None,
@@ -90,7 +106,8 @@ def solve_dantzig(h_ag, h_gg, rho: float) -> DantzigResult:
             pivots=pivots,
         )
 
-    max_slack = rho - float(np.abs(h_ag - h_gg @ v).max())
+    support = np.flatnonzero(v)  # h_gg v = h_gg[S]' v_S, as h_gg is symmetric
+    max_slack = rho - float(np.abs(h_ag - v[support] @ h_gg_rows(support)).max())
     if max_slack < -_FEAS_TOL:
         raise NumericalError(
             f"parametric simplex returned an infeasible vertex (slack {max_slack:.3e})"
@@ -104,7 +121,23 @@ def solve_dantzig(h_ag, h_gg, rho: float) -> DantzigResult:
     )
 
 
-def _follow_path(h_ag, h_gg, rho, rho_max):
+def _row_cache(fetch, m):
+    """``fetch`` of rows of h_gg that fetches each row once: each pivot reads
+    the rows of the basis before it again. Rows live in an m x m buffer that
+    is allocated but never filled, so only the rows read take up memory."""
+    buffer, fetched = np.empty((m, m)), np.zeros(m, dtype=bool)
+
+    def rows(idx):
+        idx = np.asarray(idx, dtype=np.intp)
+        missing = idx[~fetched[idx]]
+        if missing.size:
+            buffer[missing], fetched[missing] = fetch(missing), True
+        return buffer[idx]
+
+    return rows
+
+
+def _follow_path(h_ag, h_gg_rows, h_scale, rho, rho_max):
     """Lower the radius from ``rho_max`` to ``rho``. Returns ``(v, pivots)``.
 
     ``v`` is None when the LP is infeasible at ``rho``. The basis is the
@@ -116,12 +149,12 @@ def _follow_path(h_ag, h_gg, rho, rho_max):
 
     Both ratio tests run over the 4m variables of the standard form, in
     this order: p_j (v_j > 0), q_j (v_j < 0), and the slacks of the lower
-    and of the upper bound of each row; ties go to the lowest index.
+    and of the upper bound of each row; ties go to the lowest index. Rows of
+    h_gg come from ``h_gg_rows``, scaled for the tolerances by ``h_scale``.
     """
     m = h_ag.shape[0]
-    h_scale = float(np.abs(h_gg).max()) or 1.0
     rows, row_sign, cols, col_sign = [], [], [], []
-    h_rows, inverse, tau = h_gg[:0], np.zeros((0, 0)), np.zeros(m)
+    h_rows, inverse, tau = np.zeros((0, m)), np.zeros((0, 0)), np.zeros(m)
     # With the empty basis at rho_max, the row of max|h_ag| is the first
     # basic variable to reach 0: its lower slack if h_ag < 0, else the upper.
     radius = rho_max
@@ -132,7 +165,7 @@ def _follow_path(h_ag, h_gg, rho, rho_max):
         # Dual ratio test: move z off the dual constraint of the leaving
         # variable until another one becomes tight; its variable enters.
         # z = inverse' tau. Scaling dz to max|dz| = 1, and the rows for p and
-        # q by 1 / max|h_gg|, leaves the ratios as they are and makes the
+        # q by 1 / h_scale, leaves the ratios as they are and makes the
         # pivot tolerance relative.
         z = col_sign @ inverse
         free = tau == 0.0
@@ -142,10 +175,11 @@ def _follow_path(h_ag, h_gg, rho, rho_max):
             dz = -col_sign[p] * inverse[p]
         else:  # row i reached the radius: it joins E, z_i moves by sigma_i
             p, i, sigma = None, leave % m, 1.0 if leave >= 3 * m else -1.0
-            z, dz = np.append(z, 0.0), np.append(-sigma * (h_gg[i, cols] @ inverse), sigma)
+            h_row = h_gg_rows([i])
+            z, dz = np.append(z, 0.0), np.append(-sigma * (h_row[0, cols] @ inverse), sigma)
             rows.append(i)
             row_sign.append(sigma)
-            h_rows = np.vstack([h_rows, h_gg[i]])
+            h_rows = np.vstack([h_rows, h_row])
         dz /= np.abs(dz).max()
         g, dg = np.stack([z, dz]) @ h_rows
         z_all, dz_all, sign_all = np.zeros(m), np.zeros(m), np.zeros(m)
@@ -171,13 +205,13 @@ def _follow_path(h_ag, h_gg, rho, rho_max):
 
         # The new basis: v_S = base - radius * speed. Lowering the radius by
         # t moves v_S by t * speed and h_gg v by t * drift.
-        h_rows = h_gg[rows]
+        h_rows = h_gg_rows(rows)
         try:
             inverse = np.linalg.inv(h_rows[:, cols])
         except np.linalg.LinAlgError:
             raise NumericalError("parametric simplex reached a singular basis") from None
         base, speed = inverse @ h_ag[rows], inverse @ row_sign
-        fixed, drift = np.stack([base, speed]) @ h_gg[cols]
+        fixed, drift = np.stack([base, speed]) @ h_gg_rows(cols)
         resid = h_ag - fixed + radius * drift
         v, rate, tau = np.zeros(m), np.zeros(m), np.zeros(m)
         scale = np.abs(speed).max(initial=0.0) or 1.0  # relative tolerance, as above

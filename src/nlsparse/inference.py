@@ -7,6 +7,8 @@ gamma for the rest, the decorrelated score at an evaluation point beta is
     F_S(beta, rho) = grad_a L(beta) - d_hat' grad_g L(beta),
 
 where d_hat solves the Dantzig selector LP over the Hessian partition at j.
+The partition is never formed: row j gives h_aa and h_ag, and the LP reads
+the rows of h_gg it needs from the data (none when it is vacuous).
 The score test evaluates F_S at the null-imposed point (coordinate j replaced
 by the hypothesized value); the Wald construction evaluates it at the fitted
 point and applies a one-step correction
@@ -26,14 +28,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dantzig import DantzigResult, solve_dantzig
+# Inference calls neither loss_hessian nor solve_dantzig, but
+# perfbench/spans.py looks both up on this module to time them.
+from .dantzig import DantzigResult, _solve, solve_dantzig  # noqa: F401
 from .errors import (
     DantzigInfeasibleError,
     DegenerateVarianceError,
     InputError,
     SingularDenominatorError,
 )
-from .loss import hessian_partition, loss_gradient, loss_hessian, _check_beta
+from .loss import (  # noqa: F401
+    _check_beta,
+    _hessian_diagonal,
+    _hessian_rows,
+    _hessian_weights,
+    loss_gradient,
+    loss_hessian,
+)
 from .model import Dataset, LinkFunction
 from .solver import FitResult
 
@@ -124,16 +135,27 @@ def _embed_w(d_hat: np.ndarray, j: int, d: int) -> np.ndarray:
 
 
 def _score_pieces(link, data, beta, j, rho):
-    hess = loss_hessian(link, data, beta)
-    h_aa, h_ag, h_gg = hessian_partition(hess, j)
-    dres = solve_dantzig(h_ag, h_gg, rho)
+    # Row j of the Hessian gives h_aa and h_ag and decides whether the LP is
+    # vacuous; a non-vacuous LP reads only the rows of h_gg in its bases.
+    if not (isinstance(j, (int, np.integer)) and 1 <= j <= data.d):
+        raise InputError(f"coordinate j must be in 1..{data.d}, got {j}")
+    idx = j - 1
+    nuisance = np.delete(np.arange(data.d), idx)
+    weights = _hessian_weights(link, data, beta)
+    row = _hessian_rows(data, weights, [idx])[0]
+    h_aa, h_ag = float(row[idx]), row[nuisance]
+    dres = _solve(
+        h_ag,
+        lambda sel: _hessian_rows(data, weights, nuisance[sel])[:, nuisance],
+        lambda: _hessian_diagonal(data, weights)[nuisance],
+        rho,
+    )
     if dres.status != "optimal":
         raise DantzigInfeasibleError(
             f"coordinate {j}: {dres.message or 'decorrelation LP infeasible'}"
         )
     grad = loss_gradient(link, data, beta)
-    idx = j - 1
-    f_s = float(grad[idx] - dres.d_hat @ np.delete(grad, idx))
+    f_s = float(grad[idx] - dres.d_hat @ grad[nuisance])
     return f_s, dres, h_aa, h_ag
 
 

@@ -64,15 +64,31 @@ def _gradient_at(link, data, u, resid):
 
 def loss_hessian(link: LinkFunction, data: Dataset, beta) -> np.ndarray:
     beta = _check_beta(data, beta)
+    hess = _hessian_rows(data, _hessian_weights(link, data, beta), slice(None))
+    return 0.5 * (hess + hess.T)
+
+
+def _hessian_weights(link, data, beta):
+    """w_i = f'(u_i)^2 - r_i f''(u_i), so that hess L = X' diag(w) X / n."""
     with np.errstate(over="ignore", invalid="ignore"):
         u = data.design @ beta
         resid = data.response - link.eval(u)
-        weights = link.deriv(u) ** 2 - resid * link.deriv2(u)
-        hess = (data.design * weights[:, None]).T @ data.design / data.n
-        hess = 0.5 * (hess + hess.T)
-    if not np.all(np.isfinite(hess)):
+        return link.deriv(u) ** 2 - resid * link.deriv2(u)
+
+
+def _hessian_rows(data, weights, idx):
+    """Rows ``idx`` of the Hessian, X[:, idx]' diag(w) X / n, in O(n d) per row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = (data.design[:, idx] * weights[:, None]).T @ data.design / data.n
+    if not np.isfinite(rows).all():
         raise NumericalError("loss_hessian: non-finite intermediate")
-    return hess
+    return rows
+
+
+def _hessian_diagonal(data, weights):
+    """The Hessian's diagonal, w' (X * X) / n, in O(n d)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return weights @ np.square(data.design) / data.n
 
 
 def hessian_partition(hess, j: int):

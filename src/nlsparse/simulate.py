@@ -20,6 +20,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import islice
 from typing import Optional, Sequence, Union
 
@@ -163,11 +164,27 @@ def sample_design(n: int, d: int, toeplitz_rho: float, rng: np.random.Generator)
     """Draw n rows of N(0, Sigma), Sigma_jk = toeplitz_rho^|j-k|, via Cholesky."""
     if not 0.0 <= toeplitz_rho < 1.0:
         raise InputError(f"toeplitz_rho must lie in [0, 1), got {toeplitz_rho}")
+    return rng.standard_normal((n, d)) @ _toeplitz_cholesky(d, toeplitz_rho).T
+
+
+@lru_cache(maxsize=4)
+def _toeplitz_cholesky(d: int, rho: float) -> np.ndarray:
+    """Read-only Cholesky factor of :func:`toeplitz_covariance`, kept per process.
+
+    It is computed with one BLAS thread, as every trial runs: LAPACK's last
+    bits depend on the thread count, and a cached factor must not depend on
+    which caller computed it first.
+    """
+    previous = _set_blas_threads(1)
     try:
-        chol = np.linalg.cholesky(toeplitz_covariance(d, toeplitz_rho))
+        chol = np.linalg.cholesky(toeplitz_covariance(d, rho))
     except np.linalg.LinAlgError as exc:  # unreachable for rho < 1; defensive
         raise NumericalError(f"design covariance is not positive definite: {exc}") from exc
-    return rng.standard_normal((n, d)) @ chol.T
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
+    chol.flags.writeable = False
+    return chol
 
 
 def make_beta_star(d: int, s_star: int, beta_mode: BetaMode, rng: np.random.Generator) -> SparsityGroundTruth:
@@ -434,10 +451,17 @@ def run_baseline_comparison(configs: Sequence[SimConfig], lambda_scale: float = 
     The baseline transforms each response through the link inverse and runs
     the identity-link solver with cross-validated regularization. Trials
     where either side fails are excluded from both means (pairing preserved)
-    and counted in ``failures``.
+    and counted in ``failures``. Raises :class:`InputError`, before any
+    trial runs, unless ``2 <= cv_folds <= n`` at every config and
+    ``cv_grid_size >= 1``.
     """
+    if cv_grid_size < 1:
+        raise InputError(f"cv_grid_size must be >= 1, got {cv_grid_size}")
     jobs = []
     for config in configs:
+        if not 2 <= cv_folds <= config.n:
+            raise InputError(f"cross-validation needs 2 <= cv_folds <= n, "
+                             f"got cv_folds={cv_folds} at n={config.n}")
         lam = config.lambda_rule(lambda_scale)
         jobs += [(config, t, lam, cv_folds, cv_grid_size) for t in range(config.trials)]
     results = iter(_map_trials(_baseline_trial, jobs, threads))

@@ -244,6 +244,15 @@ class TestSimulateCommand:
         assert lines[1].split(",")[:3] == ["10", "2", "40"]
         assert lines[4].split(",")[:3] == ["10", "3", "80"]
 
+    def test_baseline_fewer_rows_than_folds_exits_1(self, capsys, tmp_path):
+        out = tmp_path / "base.csv"
+        code, _, err = run_cli(capsys, "simulate", "--experiment", "baseline", "--d", "16",
+                               "--s-star", "2", "--n-grid", "4", "--trials", "1",
+                               "--threads", "1", "--output", str(out))
+        assert code == 1
+        assert "cv_folds" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_baseline_small(self, capsys, tmp_path):
         out = tmp_path / "base.csv"
         code = main(["simulate", "--experiment", "baseline", "--n", "60", "--d", "10",

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from nlsparse import FitConfig, InputError, builtin_link, fit, solve_dantzig
+from nlsparse.dantzig import _solve
 from nlsparse.loss import hessian_partition, loss_hessian
 from nlsparse.simulate import ConstantBeta, SimConfig, generate, rate_rule
 
@@ -203,3 +204,36 @@ class TestFittedHessians:
         assert (first.l1_norm, first.max_slack, first.pivots) == (
             second.l1_norm, second.max_slack, second.pivots)
 
+
+class TestRowAccessor:
+    def _counted(self, h_gg):
+        read = []
+
+        def rows(idx):
+            read.extend(idx)
+            return h_gg[idx]
+
+        def diagonal():
+            read.append("diagonal")
+            return np.diagonal(h_gg)
+
+        return read, rows, diagonal
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_reads_each_row_once_and_matches_the_matrix_api(self, scale):
+        h_ag, h_gg, unit = fitted_partition(200, 128)
+        read, rows, diagonal = self._counted(h_gg)
+        res = _solve(h_ag, rows, diagonal, scale * unit)
+        ref = solve_dantzig(h_ag, h_gg, scale * unit)
+        assert res.d_hat.tobytes() == ref.d_hat.tobytes()
+        assert (res.l1_norm, res.max_slack, res.pivots) == (ref.l1_norm, ref.max_slack, ref.pivots)
+        assert read.count("diagonal") == 1
+        rows_read = [i for i in read if i != "diagonal"]
+        assert len(rows_read) == len(set(rows_read)) < len(h_ag)
+        assert set(np.flatnonzero(res.d_hat)) <= set(rows_read)
+
+    def test_vacuous_lp_reads_nothing(self):
+        h_ag, h_gg, _ = fitted_partition(200, 128)
+        read, rows, diagonal = self._counted(h_gg)
+        res = _solve(h_ag, rows, diagonal, float(np.abs(h_ag).max()))
+        assert res.vacuous and read == []

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -25,8 +26,11 @@ from nlsparse import (
     two_sided_p_value,
     wald_estimate,
 )
-from nlsparse.simulate import SimConfig, generate
+from nlsparse import inference, loss
+from nlsparse.loss import hessian_partition
+from nlsparse.simulate import ConstantBeta, SimConfig, generate, rate_rule
 from tests.conftest import random_instance
+from tests.test_dantzig import highs_optimum
 
 # frozen from scipy.special.ndtri(0.975)
 Z_975 = 1.959963984540054
@@ -289,3 +293,102 @@ class TestInferenceConfig:
     def test_validation(self, kwargs):
         with pytest.raises(InputError):
             InferenceConfig(**kwargs)
+
+
+@lru_cache(maxsize=None)
+def fitted_table_instance(d, link_name):
+    """One trial of the inference table (n = 200, mu = 0.5) and its fit."""
+    cfg = SimConfig(n=200, d=d, s_star=10, seed=7, link_name=link_name,
+                    beta_mode=ConstantBeta(mu=0.5))
+    data, _ = generate(cfg, 0)
+    link = builtin_link(link_name)
+    return link, data, fit(link, data, FitConfig(lam=cfg.lambda_rule()))
+
+
+def explicit_pieces(link, data, beta, j, rho):
+    """The score pieces from the full Hessian: loss_hessian -> hessian_partition
+    -> solve_dantzig."""
+    h_aa, h_ag, h_gg = hessian_partition(loss_hessian(link, data, beta), j)
+    dres = solve_dantzig(h_ag, h_gg, rho)
+    grad = loss_gradient(link, data, beta)
+    return float(grad[j - 1] - dres.d_hat @ np.delete(grad, j - 1)), dres, h_aa, h_ag
+
+
+class TestMatrixFree:
+    """score_test and wald_estimate read Hessian rows, never the d x d matrix."""
+
+    @pytest.mark.parametrize("rho_scale, vacuous", [(2.0, False), (45.0, True)])
+    @pytest.mark.parametrize("link_name", ["paper", "identity"])
+    @pytest.mark.parametrize("d", [64, 256])
+    def test_matches_explicit_path(self, monkeypatch, d, link_name, rho_scale, vacuous):
+        link, data, result = fitted_table_instance(d, link_name)
+        for j in (1, 11):
+            cfg = InferenceConfig(coordinate=j, rho=rate_rule(rho_scale, 1.0, 200, d))
+            score, wald = score_test(link, data, result, cfg), wald_estimate(link, data, result, cfg)
+            with monkeypatch.context() as patched:
+                patched.setattr(inference, "_score_pieces", explicit_pieces)
+                score0 = score_test(link, data, result, cfg)
+                wald0 = wald_estimate(link, data, result, cfg)
+            for new, old, fields in (
+                (score, score0, ("statistic", "f_s", "sigma_s", "p_value")),
+                (wald, wald0, ("alpha_bar", "sigma_w", "statistic", "ci_low", "ci_high",
+                               "p_value")),
+            ):
+                for field in fields:
+                    assert getattr(new, field) == pytest.approx(getattr(old, field), rel=1e-12)
+                assert new.reject == old.reject
+                lp, lp0 = new.d_hat, old.d_hat
+                assert (lp.vacuous, lp.pivots, lp.status) == (vacuous, lp0.pivots, "optimal")
+                assert lp0.vacuous == vacuous
+                np.testing.assert_allclose(lp.d_hat, lp0.d_hat, rtol=0.0,
+                                           atol=1e-12 * np.abs(lp0.d_hat).max(initial=1.0))
+                assert lp.l1_norm == pytest.approx(lp0.l1_norm, rel=1e-12)
+
+    @pytest.mark.parametrize("rho_scale", [0.5, 2.0])
+    @pytest.mark.parametrize("link_name", ["paper", "identity"])
+    @pytest.mark.parametrize("d", [64, 256])
+    def test_l1_optimum_matches_highs(self, d, link_name, rho_scale):
+        link, data, result = fitted_table_instance(d, link_name)
+        rho = rate_rule(rho_scale, 1.0, 200, d)
+        beta = result.beta_hat.copy()
+        beta[10] = 0.0  # the score test's null-imposed point at j = 11
+        res = score_test(link, data, result, InferenceConfig(coordinate=11, rho=rho)).d_hat
+        _, h_ag, h_gg = hessian_partition(loss_hessian(link, data, beta), 11)
+        assert not res.vacuous and res.pivots >= 1
+        assert float(np.abs(h_ag - h_gg @ res.d_hat).max()) <= rho + 1e-8
+        assert res.l1_norm == pytest.approx(highs_optimum(h_ag, h_gg, rho), rel=1e-9)
+
+    @staticmethod
+    def _count_rows(monkeypatch):
+        """Record the Hessian rows inference reads; forbid the full matrix."""
+        def forbidden(*args):
+            raise AssertionError("the d x d Hessian was formed")
+
+        for name in ("loss_hessian", "hessian_partition"):
+            monkeypatch.setattr(loss, name, forbidden)
+        read = []
+
+        def rows(data, weights, idx):
+            read.extend(np.atleast_1d(idx).tolist())
+            return loss._hessian_rows(data, weights, idx)
+
+        monkeypatch.setattr(inference, "_hessian_rows", rows)
+        return read
+
+    def test_vacuous_call_reads_row_j_only(self, monkeypatch):
+        link, data, result = fitted_table_instance(256, "paper")
+        read = self._count_rows(monkeypatch)
+        cfg = InferenceConfig(coordinate=11, rho=rate_rule(45.0, 1.0, 200, 256))
+        assert score_test(link, data, result, cfg).d_hat.vacuous
+        assert wald_estimate(link, data, result, cfg).d_hat.vacuous
+        assert read == [10, 10]
+
+    def test_lp_reads_each_basis_row_once(self, monkeypatch):
+        link, data, result = fitted_table_instance(256, "paper")
+        read = self._count_rows(monkeypatch)
+        cfg = InferenceConfig(coordinate=11, rho=rate_rule(0.5, 1.0, 200, 256))
+        lp = score_test(link, data, result, cfg).d_hat
+        assert not lp.vacuous and lp.pivots >= 10
+        assert read[0] == 10 and 10 not in read[1:]
+        assert len(read[1:]) == len(set(read[1:])) < 256 - 1
+        assert set(np.flatnonzero(lp.d_hat)) <= {k - (k > 10) for k in read[1:]}

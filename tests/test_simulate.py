@@ -19,8 +19,10 @@ from nlsparse.simulate import (
     run_inference_trials,
     sample_design,
     sweep_csv_text,
+    toeplitz_covariance,
     _set_blas_threads,
     _stream_rng,
+    _toeplitz_cholesky,
 )
 
 
@@ -176,6 +178,54 @@ class TestBaselineComparison:
             "d,s_star,n,effective_sample,mean_l2,sd_l2,mean_l1,sd_l1,"
             "base_mean_l2,base_sd_l2,base_mean_l1,base_sd_l1,trials,failures"
         )
+
+    @pytest.mark.parametrize("options, match", [
+        (dict(cv_folds=1), "cv_folds"),
+        (dict(cv_folds=61), "cv_folds"),
+        (dict(cv_grid_size=0), "cv_grid_size"),
+    ])
+    def test_cv_options_validated_before_any_trial(self, monkeypatch, options, match):
+        import nlsparse.simulate as sim
+
+        def no_trials(*args):
+            raise AssertionError("trials ran before the CV options were validated")
+
+        monkeypatch.setattr(sim, "_map_trials", no_trials)
+        configs = [SimConfig(n=80, d=12, s_star=2, seed=33, trials=2),
+                   SimConfig(n=60, d=12, s_star=2, seed=33, trials=2)]
+        with pytest.raises(InputError, match=match):
+            run_baseline_comparison(configs, **options)
+
+    def test_folds_equal_to_n_run(self):
+        configs = [SimConfig(n=6, d=8, s_star=2, seed=34, trials=1)]
+        row = run_baseline_comparison(configs, cv_folds=6, cv_grid_size=3, threads=1)[0]
+        assert row.failures == 0
+
+
+class TestCholeskyCache:
+    def test_generate_bitwise_equal_with_cold_and_warm_cache(self):
+        cfg = SimConfig(n=50, d=64, s_star=3, noise_sd=1.0, seed=5)
+        _toeplitz_cholesky.cache_clear()
+        cold, _ = generate(cfg, 2)
+        warm, _ = generate(cfg, 2)
+        assert _toeplitz_cholesky.cache_info().hits >= 1
+        assert cold.design.tobytes() == warm.design.tobytes()
+        assert cold.response.tobytes() == warm.response.tobytes()
+
+    def test_factor_read_only_and_equal_to_one_thread_cholesky(self):
+        caller = _needs_openblas()
+        try:
+            _set_blas_threads(1)
+            expected = np.linalg.cholesky(toeplitz_covariance(128, 0.95))
+            _set_blas_threads(2)  # the cached factor ignores the caller's count
+            _toeplitz_cholesky.cache_clear()
+            chol = _toeplitz_cholesky(128, 0.95)
+            assert _set_blas_threads(caller) == 2
+        finally:
+            _set_blas_threads(caller)
+        assert chol.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            chol[0, 0] = 0.0
 
 
 class TestInferenceTable:
