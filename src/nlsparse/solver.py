@@ -261,3 +261,121 @@ def kkt_residual(link: LinkFunction, data: Dataset, beta, lam: float) -> float:
         raise InputError(f"lam must be nonnegative, got {lam}")
     beta = _check_beta(data, beta)
     return _kkt_from_gradient(loss_gradient(link, data, beta), beta, lam)
+
+
+# Relative tolerances of the lasso path: a joining column whose Schur
+# complement falls below _SPAN_TOL * G_jj lies in the span of the active
+# columns, and a grid-point solution must be KKT-stationary to _KKT_TOL * lam.
+_SPAN_TOL = 1e-9
+_KKT_TOL = 1e-6
+
+
+# Non-finite values surface in the KKT certificate, so numpy's warnings are off.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _lasso_path(design, response, grid) -> np.ndarray:
+    """Exact identity-link lasso solutions at every lambda of a decreasing grid.
+
+    Walks the piecewise-linear path of min (1/2n)||y - X beta||^2 +
+    lam ||beta||_1 (the homotopy / LARS-lasso of Osborne, Presnell & Turlach
+    2000 and Efron, Hastie, Johnstone & Tibshirani 2004) from lam_max =
+    max|X'y|/n down to ``grid[-1]``. With G = X'X/n and c = X'y/n, the active
+    set A and its signs s are fixed between breakpoints, where beta_A(lam) =
+    a - lam b with a = G_AA^-1 c_A and b = G_AA^-1 s_A. The next breakpoint
+    is the largest lam below the current one at which an active coefficient
+    reaches 0 (a drop) or an inactive correlation c_j - G_jA beta_A reaches
+    +-lam (a join). G_AA^-1 follows by a bordered rank-one update per join and
+    a Schur downdate per drop, and only the columns G[:, A] are formed, one
+    per join, so a breakpoint costs O(k^2 + dk) for k active columns, plus
+    O(nd) for a join. Every lam of the grid passed on the way gets
+    beta_A(lam) and is certified by its KKT residual.
+
+    The variable of the last breakpoint sits exactly on its boundary, so the
+    next breakpoint skips the test it would pass again at a zero-length step
+    through rounding: the drop of a variable that joined, or the join on the
+    side it left by of one that dropped (it may still join on the other
+    side). A column in the span of the active ones never joins: it could only
+    tie, and the solution without it is optimal. So G_AA stays nonsingular,
+    and k never exceeds min(n, d).
+
+    Returns the ``len(grid) x d`` array of solutions (rows of zeros for
+    lam >= lam_max). Raises NumericalError when a solution fails its KKT
+    certificate or the walk passes its breakpoint limit.
+    """
+    n, d = design.shape
+    corr = design.T @ response / n
+    kmax = min(n, d)
+    inverse = np.empty((kmax, kmax))  # G_AA^-1 in its leading k x k block
+    columns = np.empty((d, kmax))  # G[:, A] in its first k columns
+    rhs = np.empty((kmax, 2))  # c_A and s_A
+    active = np.empty(kmax, dtype=np.intp)
+    sides = np.array([[1.0], [-1.0]])
+    path = np.zeros((len(grid), d))
+    k, lam, gi = 0, np.inf, 0
+    last, last_side = -1, -1  # the variable of the last breakpoint; the side it left by
+    for _ in range(1000 + 50 * d):
+        ab = inverse[:k, :k] @ rhs[:k]
+        # one step of iterative refinement against G_AA itself: rounding in
+        # the updated inverse accumulates over the walk
+        ab += inverse[:k, :k] @ (rhs[:k] - columns[active[:k], :k] @ ab)
+        a, b = ab[:, 0], ab[:, 1]
+        pq = columns[:, :k] @ ab
+        p = corr - pq[:, 0]
+        # j joins at side t = +-1 where p_j + lam q_j = t lam, if 1 - t q_j > 0;
+        # A[i] drops where a_i = lam b_i
+        slope = 1.0 - sides * pq[:, 1]
+        joins = sides * p / slope
+        joins[~((slope > 0.0) & (joins < lam))] = 0.0
+        joins[:, active[:k]] = 0.0
+        drops = a / b
+        drops[~((drops > 0.0) & (drops < lam))] = 0.0
+        if last_side >= 0:
+            joins[last_side, last] = 0.0
+        else:
+            drops[active[:k] == last] = 0.0
+        while True:
+            side, j = divmod(int(np.argmax(joins)), d)
+            i = int(np.argmax(drops)) if k else -1
+            drop = i >= 0 and drops[i] >= joins[side, j]
+            nxt = drops[i] if drop else joins[side, j]
+            if drop or nxt <= 0.0:
+                break
+            g = columns[j, :k]
+            u = inverse[:k, :k] @ g
+            column = design.T @ design[:, j] / n
+            schur = column[j] - g @ u
+            if k < kmax and schur > _SPAN_TOL * column[j]:
+                break
+            joins[side, j] = 0.0  # in the span of the active columns
+        while gi < len(grid) and grid[gi] >= nxt:
+            beta_a = a - grid[gi] * b
+            path[gi, active[:k]] = beta_a
+            kkt = _kkt_from_gradient(columns[:, :k] @ beta_a - corr, path[gi], grid[gi])
+            if not kkt <= _KKT_TOL * grid[gi]:
+                raise NumericalError(
+                    f"lasso path: KKT residual {kkt:.3g} at lambda {grid[gi]:.6g}"
+                )
+            gi += 1
+        if gi == len(grid):
+            return path
+        lam = nxt
+        if drop:
+            k -= 1
+            last, last_side = int(active[i]), 0 if rhs[i, 1] > 0.0 else 1
+            # move the leaving variable to position k, then downdate the inverse
+            active[[i, k]] = active[[k, i]]
+            rhs[[i, k]] = rhs[[k, i]]
+            columns[:, [i, k]] = columns[:, [k, i]]
+            inverse[[i, k], :k + 1] = inverse[[k, i], :k + 1]
+            inverse[:k + 1, [i, k]] = inverse[:k + 1, [k, i]]
+            w = inverse[:k, k]
+            inverse[:k, :k] -= np.outer(w, w / inverse[k, k])
+        else:
+            last, last_side = j, -1
+            inverse[:k, :k] += np.outer(u, u / schur)
+            inverse[:k, k] = inverse[k, :k] = -u / schur
+            inverse[k, k] = 1.0 / schur
+            columns[:, k] = column
+            active[k] = j
+            rhs[k] = corr[j], 1.0 - 2.0 * side
+            k += 1
+    raise NumericalError("lasso path exceeded its breakpoint limit")

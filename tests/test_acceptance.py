@@ -2,7 +2,8 @@
 
 Each test prints ``[criterion NN] PASS/FAIL <name> <detail>`` regardless of
 pytest capture settings, then asserts. The Monte Carlo criteria (08-10) share
-one module-scoped batch of runs.
+one module-scoped batch of runs. Criterion 13 records a known defect (ROADMAP
+item 1) and is marked as an expected failure until it is fixed.
 """
 
 import time
@@ -312,3 +313,18 @@ def test_criterion_12_reproducibility(capsys, tmp_path):
     identical = outputs[0] == outputs[1] == outputs[2]
     report(capsys, 12, "reproducibility", identical,
            f"bytes={len(outputs[0])} identical_across_runs_and_threads={identical}")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: at the default rho rule the decorrelation LP is vacuous in "
+    "most trials at mu > 0, and score type-I at s*+1 is about 0.995"))
+def test_criterion_13_type1_off_the_global_null(capsys):
+    started = time.perf_counter()
+    config = SimConfig(n=200, d=128, s_star=10, noise_sd=1.0, toeplitz_rho=0.95,
+                       link_name="paper", seed=20240817, trials=200,
+                       beta_mode=ConstantBeta(0.5))
+    outcomes = run_inference_trials(config, coordinates=(11,), threads=THREADS)
+    score_t1 = rejection_rate(outcomes, 11, "score_reject")
+    elapsed = time.perf_counter() - started
+    report(capsys, 13, "type-I off the global null", score_t1 <= 0.08,
+           f"mu=0.5 score={score_t1:.3f} bound=0.08 time={elapsed:.0f}s")

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nlsparse import InputError
+from nlsparse import Dataset, FitConfig, InputError, builtin_link, fit, invert_link
 from nlsparse.simulate import (
     ConstantBeta,
     SimConfig,
@@ -20,6 +20,7 @@ from nlsparse.simulate import (
     sample_design,
     sweep_csv_text,
     toeplitz_covariance,
+    _cv_lasso,
     _set_blas_threads,
     _stream_rng,
     _toeplitz_cholesky,
@@ -196,6 +197,27 @@ class TestBaselineComparison:
         with pytest.raises(InputError, match=match):
             run_baseline_comparison(configs, **options)
 
+    def test_cv_picks_the_argmin_of_converged_fits(self):
+        # the exact path stands in for 5 x 30 fits at tol 1e-10
+        config = SimConfig(n=80, d=16, s_star=3, noise_sd=1.0, seed=35)
+        raw, _ = generate(config, 0)
+        data = Dataset(design=raw.design, response=invert_link(builtin_link("paper"), raw.response))
+        beta, lam = _cv_lasso(data, 5, 30)
+        base = np.std(data.response, ddof=1) * np.sqrt(np.log(16) / 80)
+        grid = np.geomspace(base, 1e-4 * base, 30)
+        cv_mse = np.zeros(30)
+        for val in np.array_split(np.arange(80), 5):
+            train = np.ones(80, dtype=bool)
+            train[val] = False
+            fold = Dataset(design=data.design[train], response=data.response[train])
+            for g, lam_g in enumerate(grid):
+                ref = fit(builtin_link("identity"), fold, FitConfig(lam=float(lam_g), tol=1e-10))
+                err = data.response[val] - data.design[val] @ ref.beta_hat
+                cv_mse[g] += float(err @ err) / val.size
+        assert lam == grid[np.argmin(cv_mse)]
+        final = fit(builtin_link("identity"), data, FitConfig(lam=lam))
+        np.testing.assert_array_equal(beta, final.beta_hat)
+
     def test_folds_equal_to_n_run(self):
         configs = [SimConfig(n=6, d=8, s_star=2, seed=34, trials=1)]
         row = run_baseline_comparison(configs, cv_folds=6, cv_grid_size=3, threads=1)[0]
@@ -368,6 +390,19 @@ class TestBlasThreads:
                 _set_blas_threads(caller_threads)
                 for threads in (1, 2):
                     texts.add(sweep_csv_text(run_estimation_sweep(configs, threads=threads)))
+        finally:
+            _set_blas_threads(caller)
+        assert len(texts) == 1
+
+    def test_baseline_csv_independent_of_workers_and_caller_blas_threads(self):
+        caller = _needs_openblas()
+        configs = [SimConfig(n=200, d=128, s_star=8, noise_sd=1.0, seed=7, trials=2)]
+        texts = set()
+        try:
+            for caller_threads in (1, 2):
+                _set_blas_threads(caller_threads)
+                for threads in (1, 2):
+                    texts.add(baseline_csv_text(run_baseline_comparison(configs, threads=threads)))
         finally:
             _set_blas_threads(caller)
         assert len(texts) == 1

@@ -9,13 +9,16 @@ from nlsparse import (
     NumericalError,
     acceptance_check,
     bb_stepsize,
+    builtin_link,
     fit,
+    invert_link,
     kkt_residual,
     penalized_objective,
     prox_step,
     soft_threshold,
 )
 from nlsparse.simulate import SimConfig, generate
+from nlsparse.solver import _lasso_path
 from tests.conftest import random_instance
 
 
@@ -253,3 +256,98 @@ class TestKktResidual:
         slack = [r_next <= r_prev * (1.0 + 1e-9) + 1e-12
                  for r_prev, r_next in zip(residuals, residuals[1:])]
         assert all(slack), residuals
+
+
+def cv_fold(config, folds, trial=0, held_out=0):
+    """Training part of a CV fold of a trial, on link-inverted responses, with
+    the lambda grid that ``simulate._cv_lasso`` uses."""
+    data, _ = generate(config, trial)
+    z = invert_link(builtin_link(config.link_name), data.response)
+    n, d = data.design.shape
+    base = np.std(z, ddof=1) * np.sqrt(np.log(d) / n)
+    train = np.ones(n, dtype=bool)
+    train[np.array_split(np.arange(n), folds)[held_out]] = False
+    return data.design[train], z[train], np.geomspace(base, 1e-4 * base, 30)
+
+
+@pytest.mark.filterwarnings("error")
+class TestLassoPath:
+    """Every grid point of the exact path is KKT-stationary to 1e-6 * lambda
+    and agrees with the proximal gradient solver to 1e-6."""
+
+    @staticmethod
+    def certify(identity, X, y, grid, warm):
+        # A cold fit at tol 1e-10 is less accurate than the path at d = 128
+        # (KKT up to 8e-6 * lambda at n = 200; no convergence in 1e5
+        # iterations at n = 100), so there the reference starts at the path
+        # solution and must stop on its own rule without moving it.
+        path = _lasso_path(X, y, grid)
+        data = Dataset(design=X, response=y)
+        for beta, lam in zip(path, grid):
+            assert kkt_residual(identity, data, beta, lam) <= 1e-6 * lam
+            ref = fit(identity, data,
+                      FitConfig(lam=float(lam), tol=1e-10, init=beta if warm else None))
+            assert ref.converged
+            np.testing.assert_allclose(beta, ref.beta_hat, rtol=0, atol=1e-6)
+        return path
+
+    @pytest.mark.parametrize("trial", [0, 1])
+    def test_more_rows_than_columns(self, identity, trial):
+        # trial 0: a variable that joins sits on its drop test at
+        # lambda * (1 - 1e-12), and testing it again leaves at a zero-length
+        # step; trial 1: a variable that leaves joins again with the other sign
+        X, y, grid = cv_fold(SimConfig(n=200, d=128, s_star=8, seed=77), 5, trial)
+        path = self.certify(identity, X, y, grid, warm=True)
+        assert np.count_nonzero(path[-1]) > 100
+
+    @pytest.mark.parametrize("n, d, folds, trial, held_out, warm", [
+        (6, 8, 6, 0, 0, False),
+        (100, 128, 5, 0, 0, True),
+        # without refinement against G_AA, rounding in the updated inverse
+        # takes the KKT residual above 1e-6 * lambda here
+        (100, 128, 5, 1, 0, True),
+    ])
+    def test_fewer_rows_than_columns(self, identity, n, d, folds, trial, held_out, warm):
+        X, y, grid = cv_fold(SimConfig(n=n, d=d, s_star=2, seed=34), folds, trial, held_out)
+        path = self.certify(identity, X, y, grid, warm)
+        assert np.count_nonzero(path[-1]) <= X.shape[0]
+
+    def test_duplicated_column(self, identity):
+        # G is singular: columns 7 and 8 are +-column 3, lie in the span of
+        # the active columns once 3 has joined and never join; the solution
+        # is unique only in beta_3 + beta_7 - beta_8
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((40, 10))
+        X[:, 7], X[:, 8] = X[:, 3], -X[:, 3]
+        y = 2.0 * X[:, 3] + X[:, 1] - X[:, 5] + 0.5 * rng.standard_normal(40)
+        lam_max = np.abs(X.T @ y).max() / 40
+        grid = np.geomspace(1.5 * lam_max, 1e-4 * lam_max, 30)
+        path = _lasso_path(X, y, grid)
+        assert np.all(path[:, 7:9] == 0.0) and np.all(path[-1, [1, 3, 5]] != 0.0)
+        data = Dataset(design=X, response=y)
+        merge = np.eye(10)
+        merge[7], merge[8] = merge[3], -merge[3]  # (beta @ merge)[3] = beta_3 + beta_7 - beta_8
+        merge[:, 7:9] = 0.0
+        for beta, lam in zip(path, grid):
+            assert kkt_residual(identity, data, beta, lam) <= 1e-6 * lam
+            ref = fit(identity, data, FitConfig(lam=float(lam), tol=1e-10)).beta_hat
+            np.testing.assert_allclose(beta @ merge, ref @ merge, rtol=0, atol=1e-6)
+
+    def test_zero_response_gives_the_zero_path(self):
+        X, _, grid = cv_fold(SimConfig(n=60, d=12, s_star=2, seed=33), 5)
+        path = _lasso_path(X, np.zeros(X.shape[0]), grid)
+        np.testing.assert_array_equal(path, 0.0)
+
+    def test_grid_above_lambda_max(self, identity):
+        X, y, _ = cv_fold(SimConfig(n=60, d=12, s_star=2, seed=33), 5)
+        lam_max = np.abs(X.T @ y).max() / X.shape[0]
+        grid = np.geomspace(3.0 * lam_max, lam_max, 5)
+        path = self.certify(identity, X, y, grid, warm=False)
+        np.testing.assert_array_equal(path, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_failed_certificate_raises_numerical_error(self, bad):
+        X, y, grid = cv_fold(SimConfig(n=60, d=12, s_star=2, seed=33), 5)
+        y[3] = bad
+        with pytest.raises(NumericalError, match="KKT residual"):
+            _lasso_path(X, y, grid)
