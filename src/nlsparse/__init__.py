@@ -29,11 +29,9 @@ from .inference import (
     InferenceConfig,
     ScoreTestResult,
     WaldResult,
-    decorrelated_score,
     normal_cdf,
     normal_quantile,
     score_test,
-    score_variance,
     two_sided_p_value,
     wald_estimate,
 )

@@ -16,8 +16,11 @@ point and applies a one-step correction
     alpha_bar = alpha_hat - F_S / (h_aa - h_ag . d_hat)
 
 whose normalized version is asymptotically standard normal, giving tests and
-confidence intervals. Coordinates are 1-based throughout, matching the usual
-statistical convention beta_1 .. beta_d.
+confidence intervals. Both statistics read the same pieces (F_S, the
+denominator D0 and two variance factors), computed in one pass per
+evaluation point; when beta_hat_j equals the null value the two points
+coincide and the experiments decorrelate once for both. Coordinates are
+1-based throughout, matching the usual statistical convention beta_1 .. beta_d.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Inference calls neither loss_hessian nor solve_dantzig, but
-# perfbench/spans.py looks both up on this module to time them.
+# Inference calls none of solve_dantzig, loss_gradient and loss_hessian, but
+# perfbench/spans.py looks all three up on this module to time them; ROADMAP
+# item 4 moves its spans onto the functions in use and drops these imports.
 from .dantzig import DantzigResult, _solve, solve_dantzig  # noqa: F401
 from .errors import (
     DantzigInfeasibleError,
@@ -39,6 +43,7 @@ from .errors import (
 )
 from .loss import (  # noqa: F401
     _check_beta,
+    _gradient_at,
     _hessian_diagonal,
     _hessian_rows,
     _hessian_weights,
@@ -55,8 +60,6 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
     "two_sided_p_value",
-    "decorrelated_score",
-    "score_variance",
     "score_test",
     "wald_estimate",
 ]
@@ -134,14 +137,20 @@ def _embed_w(d_hat: np.ndarray, j: int, d: int) -> np.ndarray:
     return w
 
 
-def _score_pieces(link, data, beta, j, rho):
-    # Row j of the Hessian gives h_aa and h_ag and decides whether the LP is
-    # vacuous; a non-vacuous LP reads only the rows of h_gg in its bases.
-    if not (isinstance(j, (int, np.integer)) and 1 <= j <= data.d):
-        raise InputError(f"coordinate j must be in 1..{data.d}, got {j}")
+def _decorrelate(link, data, beta, j, rho):
+    """``(F_S, D0, factor_design, factor_resid, dantzig_result)`` at ``beta``.
+
+    One pass computes u = X beta and the residual y - f(u), which feed row j
+    of the Hessian (h_aa, h_ag; a non-vacuous LP reads only the rows of h_gg
+    in its bases), the gradient and the variance factors mean[f'(u)^2 (x'w)^2]
+    and mean[resid^2], where w is 1 at coordinate j and -d_hat elsewhere.
+    """
     idx = j - 1
     nuisance = np.delete(np.arange(data.d), idx)
-    weights = _hessian_weights(link, data, beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = data.design @ beta
+        resid = data.response - link.eval(u)
+        weights = _hessian_weights(link, u, resid)
     row = _hessian_rows(data, weights, [idx])[0]
     h_aa, h_ag = float(row[idx]), row[nuisance]
     dres = _solve(
@@ -154,78 +163,85 @@ def _score_pieces(link, data, beta, j, rho):
         raise DantzigInfeasibleError(
             f"coordinate {j}: {dres.message or 'decorrelation LP infeasible'}"
         )
-    grad = loss_gradient(link, data, beta)
-    f_s = float(grad[idx] - dres.d_hat @ grad[nuisance])
-    return f_s, dres, h_aa, h_ag
-
-
-def decorrelated_score(link: LinkFunction, data: Dataset, beta, j: int, rho: float):
-    """Decorrelated score F_S at ``beta`` for coordinate ``j`` (1-based).
-
-    Returns ``(f_s, dantzig_result)``.
-    """
-    beta = _check_beta(data, beta)
-    f_s, dres, _, _ = _score_pieces(link, data, beta, j, rho)
-    return f_s, dres
-
-
-def _variance_factors(link, data, beta, w):
-    u = data.design @ beta
-    xw = data.design @ w
-    slope = link.deriv(u)
-    resid = data.response - link.eval(u)
-    factor_design = float(np.mean((slope * xw) ** 2))
+    d_hat = dres.d_hat
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = _gradient_at(link, data, u, resid)
+    f_s = float(grad[idx] - d_hat @ grad[nuisance])
+    d0 = h_aa - float(h_ag @ d_hat)
+    xw = data.design @ _embed_w(d_hat, j, data.d)
+    factor_design = float(np.mean((link.deriv(u) * xw) ** 2))
     factor_resid = float(np.mean(resid ** 2))
-    return factor_design, factor_resid
+    return f_s, d0, factor_design, factor_resid, dres
 
 
-def score_variance(link: LinkFunction, data: Dataset, beta, d_hat, j: int) -> float:
-    """Variance estimate for sqrt(n) F_S: mean[f'(u)^2 (x'w)^2] * mean[resid^2].
+def _points(data, fit, config):
+    """The fitted point, checked against the data, and the null-imposed point."""
+    if config.coordinate > data.d:
+        raise InputError(f"coordinate {config.coordinate} exceeds dimension {data.d}")
+    beta_hat = _check_beta(data, fit.beta_hat)
+    beta_tilde = beta_hat.copy()
+    beta_tilde[config.coordinate - 1] = config.null_value
+    return beta_hat, beta_tilde
 
-    ``w`` carries 1 at coordinate ``j`` and ``-d_hat`` elsewhere. Raises
-    :class:`DegenerateVarianceError` when the product vanishes (all residuals
-    zero, or the design direction is degenerate).
-    """
-    beta = _check_beta(data, beta)
-    d_hat = np.asarray(d_hat, dtype=float)
-    if d_hat.shape != (data.d - 1,):
-        raise InputError(f"d_hat must have length {data.d - 1}, got {d_hat.shape}")
-    w = _embed_w(d_hat, j, data.d)
-    factor_design, factor_resid = _variance_factors(link, data, beta, w)
+
+def _two_sided(statistic, config):
+    """The p-value of ``statistic``, whether the test rejects at the configured
+    level, and the critical value z_{1 - significance/2} it compares with."""
+    z_crit = normal_quantile(1.0 - config.significance / 2.0)
+    return two_sided_p_value(statistic), bool(abs(statistic) > z_crit), z_crit
+
+
+def _score_result(n, config, pieces):
+    f_s, _, factor_design, factor_resid, dres = pieces
     var = factor_design * factor_resid
     if not np.isfinite(var) or var <= 0.0:
         raise DegenerateVarianceError(
-            f"degenerate score variance ({var}) at coordinate {j}"
+            f"degenerate score variance ({var}) at coordinate {config.coordinate}"
         )
-    return var
+    sigma_s = math.sqrt(var)
+    statistic = math.sqrt(n) * f_s / sigma_s
+    p_value, reject, _ = _two_sided(statistic, config)
+    return ScoreTestResult(statistic=statistic, f_s=f_s, sigma_s=sigma_s,
+                           p_value=p_value, reject=reject, d_hat=dres)
+
+
+def _wald_result(n, config, beta_hat, pieces):
+    f_s, d0, factor_design, factor_resid, dres = pieces
+    j = config.coordinate
+    if abs(d0) <= 1e-12:
+        raise SingularDenominatorError(f"one-step denominator {d0:.3e} at coordinate {j}")
+    alpha_bar = float(beta_hat[j - 1]) - f_s / d0
+    if factor_design <= 0.0 or factor_resid <= 0.0:
+        raise DegenerateVarianceError(
+            f"degenerate Wald variance at coordinate {j} "
+            f"(design factor {factor_design}, residual factor {factor_resid})"
+        )
+    var_w = factor_resid / factor_design
+    if not np.isfinite(var_w) or var_w <= 0.0:
+        raise DegenerateVarianceError(f"degenerate Wald variance ({var_w})")
+    sigma_w = math.sqrt(var_w)
+
+    statistic = math.sqrt(n) * (alpha_bar - config.null_value) / sigma_w
+    p_value, reject, z_crit = _two_sided(statistic, config)
+    half_width = z_crit * sigma_w / math.sqrt(n)
+    return WaldResult(alpha_bar=alpha_bar, sigma_w=sigma_w, statistic=statistic,
+                      ci_low=alpha_bar - half_width, ci_high=alpha_bar + half_width,
+                      p_value=p_value, reject=reject, d_hat=dres)
 
 
 def score_test(link: LinkFunction, data: Dataset, fit: FitResult, config: InferenceConfig) -> ScoreTestResult:
     """Decorrelated score test of H0: beta_j = null_value.
 
     Evaluates the score at the null-imposed point: the fitted vector with
-    coordinate j replaced by the hypothesized value.
+    coordinate j replaced by the hypothesized value. The variance estimate
+    of sqrt(n) F_S is mean[f'(u)^2 (x'w)^2] * mean[resid^2], where ``w``
+    carries 1 at coordinate j and -d_hat elsewhere; it raises
+    :class:`DegenerateVarianceError` when the product vanishes (all residuals
+    zero, or the design direction is degenerate).
     """
-    j = config.coordinate
-    if j > data.d:
-        raise InputError(f"coordinate {j} exceeds dimension {data.d}")
-    beta_tilde = fit.beta_hat.copy()
-    beta_tilde[j - 1] = config.null_value
-
-    f_s, dres, _, _ = _score_pieces(link, data, beta_tilde, j, config.rho)
-    var = score_variance(link, data, beta_tilde, dres.d_hat, j)
-    sigma_s = math.sqrt(var)
-    statistic = math.sqrt(data.n) * f_s / sigma_s
-    p_value = two_sided_p_value(statistic)
-    z_crit = normal_quantile(1.0 - config.significance / 2.0)
-    return ScoreTestResult(
-        statistic=statistic,
-        f_s=f_s,
-        sigma_s=sigma_s,
-        p_value=p_value,
-        reject=bool(abs(statistic) > z_crit),
-        d_hat=dres,
-    )
+    _, beta_tilde = _points(data, fit, config)
+    pieces = _decorrelate(link, data, beta_tilde, config.coordinate, config.rho)
+    return _score_result(data.n, config, pieces)
 
 
 def wald_estimate(link: LinkFunction, data: Dataset, fit: FitResult, config: InferenceConfig) -> WaldResult:
@@ -237,43 +253,23 @@ def wald_estimate(link: LinkFunction, data: Dataset, fit: FitResult, config: Inf
     factor of the score variance, so the CI is
     ``alpha_bar -+ z * sigma_w / sqrt(n)``.
     """
-    j = config.coordinate
-    if j > data.d:
-        raise InputError(f"coordinate {j} exceeds dimension {data.d}")
-    beta_hat = fit.beta_hat
-    alpha_hat = float(beta_hat[j - 1])
+    beta_hat, _ = _points(data, fit, config)
+    pieces = _decorrelate(link, data, beta_hat, config.coordinate, config.rho)
+    return _wald_result(data.n, config, beta_hat, pieces)
 
-    f_s, dres, h_aa, h_ag = _score_pieces(link, data, beta_hat, j, config.rho)
-    denom = h_aa - float(h_ag @ dres.d_hat)
-    if abs(denom) <= 1e-12:
-        raise SingularDenominatorError(
-            f"one-step denominator {denom:.3e} at coordinate {j}"
-        )
-    alpha_bar = alpha_hat - f_s / denom
 
-    w = _embed_w(dres.d_hat, j, data.d)
-    factor_design, factor_resid = _variance_factors(link, data, beta_hat, w)
-    if factor_design <= 0.0 or factor_resid <= 0.0:
-        raise DegenerateVarianceError(
-            f"degenerate Wald variance at coordinate {j} "
-            f"(design factor {factor_design}, residual factor {factor_resid})"
-        )
-    var_w = factor_resid / factor_design
-    if not np.isfinite(var_w) or var_w <= 0.0:
-        raise DegenerateVarianceError(f"degenerate Wald variance ({var_w})")
-    sigma_w = math.sqrt(var_w)
+def _score_and_wald(link, data, fit, config):
+    """Yield :func:`score_test`'s result, then :func:`wald_estimate`'s.
 
-    z_crit = normal_quantile(1.0 - config.significance / 2.0)
-    half_width = z_crit * sigma_w / math.sqrt(data.n)
-    statistic = math.sqrt(data.n) * (alpha_bar - config.null_value) / sigma_w
-    p_value = two_sided_p_value(statistic)
-    return WaldResult(
-        alpha_bar=alpha_bar,
-        sigma_w=sigma_w,
-        statistic=statistic,
-        ci_low=alpha_bar - half_width,
-        ci_high=alpha_bar + half_width,
-        p_value=p_value,
-        reject=bool(abs(statistic) > z_crit),
-        d_hat=dres,
-    )
+    When beta_hat_j already equals the null value, the null-imposed point is
+    the fitted point and one decorrelation serves both; otherwise each point
+    gets its own. Results are yielded one at a time so that a caller keeps
+    the score result when the Wald half raises.
+    """
+    beta_hat, beta_tilde = _points(data, fit, config)
+    j, rho = config.coordinate, config.rho
+    pieces = _decorrelate(link, data, beta_tilde, j, rho)
+    yield _score_result(data.n, config, pieces)
+    if beta_hat[j - 1] != config.null_value:
+        pieces = _decorrelate(link, data, beta_hat, j, rho)
+    yield _wald_result(data.n, config, beta_hat, pieces)

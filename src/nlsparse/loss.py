@@ -64,16 +64,17 @@ def _gradient_at(link, data, u, resid):
 
 def loss_hessian(link: LinkFunction, data: Dataset, beta) -> np.ndarray:
     beta = _check_beta(data, beta)
-    hess = _hessian_rows(data, _hessian_weights(link, data, beta), slice(None))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = data.design @ beta
+        weights = _hessian_weights(link, u, data.response - link.eval(u))
+    hess = _hessian_rows(data, weights, slice(None))
     return 0.5 * (hess + hess.T)
 
 
-def _hessian_weights(link, data, beta):
-    """w_i = f'(u_i)^2 - r_i f''(u_i), so that hess L = X' diag(w) X / n."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = data.design @ beta
-        resid = data.response - link.eval(u)
-        return link.deriv(u) ** 2 - resid * link.deriv2(u)
+def _hessian_weights(link, u, resid):
+    """w_i = f'(u_i)^2 - r_i f''(u_i), so that hess L = X' diag(w) X / n. Like
+    _gradient_at it takes u = X beta and the residual; callers silence warnings."""
+    return link.deriv(u) ** 2 - resid * link.deriv2(u)
 
 
 def _hessian_rows(data, weights, idx):

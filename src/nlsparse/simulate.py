@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import islice
 from typing import Optional, Sequence, Union
@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import InputError, NlsparseError, NumericalError
 from .model import Dataset, FitConfig, SparsityGroundTruth, builtin_link, invert_link
-from .inference import InferenceConfig, score_test, wald_estimate
+# score_test and wald_estimate are unused here, but perfbench/spans.py times them (ROADMAP item 4).
+from .inference import InferenceConfig, _score_and_wald, score_test, wald_estimate  # noqa: F401
 from .solver import _lasso_path, fit
 
 __all__ = [
@@ -537,8 +538,9 @@ def _inference_trial(job):
         score_reject = wald_reject = None
         ci_low = ci_high = np.nan
         try:
-            score_reject = score_test(link, data, fit_result, cfg).reject
-            wald = wald_estimate(link, data, fit_result, cfg)
+            results = _score_and_wald(link, data, fit_result, cfg)
+            score_reject = next(results).reject
+            wald = next(results)
             wald_reject = wald.reject
             ci_low, ci_high = wald.ci_low, wald.ci_high
         except NlsparseError as exc:
@@ -643,27 +645,21 @@ def _fmt(value) -> str:
     return f"{float(value):.6g}"
 
 
-def _csv_text(header, rows, fields) -> str:
-    lines = [",".join(header)]
+def _csv_text(rows, row_type) -> str:
+    names = [field.name for field in fields(row_type)]
+    lines = [",".join(names)]
     for row in rows:
-        lines.append(",".join(_fmt(getattr(row, f)) for f in fields))
+        lines.append(",".join(_fmt(getattr(row, name)) for name in names))
     return "\n".join(lines) + "\n"
 
 
 def sweep_csv_text(rows: Sequence[SweepRow]) -> str:
-    fields = ["d", "s_star", "n", "effective_sample", "mean_l2", "sd_l2",
-              "mean_l1", "sd_l1", "trials", "failures"]
-    return _csv_text(fields, rows, fields)
+    return _csv_text(rows, SweepRow)
 
 
 def baseline_csv_text(rows: Sequence[BaselineRow]) -> str:
-    fields = ["d", "s_star", "n", "effective_sample", "mean_l2", "sd_l2",
-              "mean_l1", "sd_l1", "base_mean_l2", "base_sd_l2", "base_mean_l1",
-              "base_sd_l1", "trials", "failures"]
-    return _csv_text(fields, rows, fields)
+    return _csv_text(rows, BaselineRow)
 
 
 def inference_csv_text(rows: Sequence[InferenceRow]) -> str:
-    fields = ["mu", "score_type1", "score_power", "wald_type1", "wald_power",
-              "trials", "excluded"]
-    return _csv_text(fields, rows, fields)
+    return _csv_text(rows, InferenceRow)

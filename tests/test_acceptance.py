@@ -1,9 +1,10 @@
 """Acceptance suite: every release criterion, one test each, one line each.
 
 Each test prints ``[criterion NN] PASS/FAIL <name> <detail>`` regardless of
-pytest capture settings, then asserts. The Monte Carlo criteria (08-10) share
-one module-scoped batch of runs. Criterion 13 records a known defect (ROADMAP
-item 1) and is marked as an expected failure until it is fixed.
+pytest capture settings, then asserts. The Monte Carlo criteria (08-10 and
+14) share one module-scoped batch of runs. Criteria 13 and 14 record a known
+defect (ROADMAP item 1), inference off the global null, and are marked as
+expected failures until it is fixed.
 """
 
 import time
@@ -219,7 +220,7 @@ def test_criterion_07_dantzig_exactness(capsys):
 
 @pytest.fixture(scope="module")
 def inference_runs():
-    """500-trial runs shared by criteria 08, 09 and 10."""
+    """500-trial runs shared by criteria 08, 09, 10 and 14."""
     base = dict(n=200, d=128, s_star=10, noise_sd=1.0, toeplitz_rho=0.95,
                 link_name="paper", seed=20240817, trials=500)
     started = time.perf_counter()
@@ -328,3 +329,19 @@ def test_criterion_13_type1_off_the_global_null(capsys):
     elapsed = time.perf_counter() - started
     report(capsys, 13, "type-I off the global null", score_t1 <= 0.08,
            f"mu=0.5 score={score_t1:.3f} bound=0.08 time={elapsed:.0f}s")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: at the default rho rule the decorrelation LP is vacuous in "
+    "most trials at mu > 0, and Wald coverage of beta*_1 = 0.5 is about 0.40"))
+def test_criterion_14_coverage_off_the_global_null(capsys, inference_runs):
+    covered = [
+        o.ci_low <= 0.5 <= o.ci_high
+        for _, per in inference_runs[0.5]
+        for o in per
+        if o.coordinate == 1 and o.wald_reject is not None
+    ]
+    coverage = float(np.mean(covered))
+    ok = 0.92 <= coverage <= 0.98
+    report(capsys, 14, "CI coverage off the global null", ok,
+           f"mu=0.5 coverage={coverage:.3f} band=[0.92,0.98] trials={len(covered)}")

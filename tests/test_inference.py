@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -7,6 +8,7 @@ from scipy.special import ndtri
 from scipy.stats import norm as scipy_norm
 
 from nlsparse import (
+    DantzigResult,
     Dataset,
     DegenerateVarianceError,
     FitConfig,
@@ -14,14 +16,12 @@ from nlsparse import (
     InputError,
     SingularDenominatorError,
     builtin_link,
-    decorrelated_score,
     fit,
     loss_gradient,
     loss_hessian,
     normal_cdf,
     normal_quantile,
     score_test,
-    score_variance,
     solve_dantzig,
     two_sided_p_value,
     wald_estimate,
@@ -29,6 +29,7 @@ from nlsparse import (
 from nlsparse import inference, loss
 from nlsparse.loss import hessian_partition
 from nlsparse.simulate import ConstantBeta, SimConfig, generate, rate_rule
+from nlsparse.solver import FitResult
 from tests.conftest import random_instance
 from tests.test_dantzig import highs_optimum
 
@@ -111,14 +112,25 @@ def independent_variance(link, data, beta, d_hat, j):
     return (total_design / data.n) * (total_resid / data.n)
 
 
+def score_at(link, data, beta, j, rho):
+    """score_test evaluated at ``beta`` itself: a fit whose beta_hat is
+    ``beta``, tested against the null value beta_j."""
+    beta = np.asarray(beta, dtype=float)
+    point = FitResult(beta_hat=beta, iterations=0, objective_trace=np.zeros(1),
+                      kkt_residual=0.0, converged=True, stepsize_trace=np.zeros(0),
+                      step_sqnorm_trace=np.zeros(0))
+    config = InferenceConfig(coordinate=j, rho=rho, null_value=float(beta[j - 1]))
+    return score_test(link, data, point, config)
+
+
 class TestDecorrelatedScore:
     def test_reduces_to_partial_score_when_rho_large(self, paper):
         rng = np.random.default_rng(3)
         data = random_instance(rng, 25, 6, paper)
         beta = rng.standard_normal(6)
-        f_s, dres = decorrelated_score(paper, data, beta, 2, rho=1e6)
-        assert np.all(dres.d_hat == 0.0)
-        assert f_s == pytest.approx(loss_gradient(paper, data, beta)[1], abs=1e-15)
+        res = score_at(paper, data, beta, 2, rho=1e6)
+        assert np.all(res.d_hat.d_hat == 0.0)
+        assert res.f_s == pytest.approx(loss_gradient(paper, data, beta)[1], abs=1e-15)
 
     def test_zero_gradient_gives_zero_score(self, paper):
         rng = np.random.default_rng(4)
@@ -126,7 +138,9 @@ class TestDecorrelatedScore:
         beta = rng.standard_normal(5)
         beta[2] = 0.0  # the tested coordinate is null
         data = Dataset(design=X, response=np.asarray(paper.eval(X @ beta)))
-        f_s, _ = decorrelated_score(paper, data, beta, 3, rho=0.5)
+        # every residual is zero, so score_test stops at its degenerate
+        # variance (see TestScoreVariance); F_S comes from the pieces it reads
+        f_s = inference._decorrelate(paper, data, beta, 3, rho=0.5)[0]
         assert abs(f_s) <= 1e-12
 
     @pytest.mark.parametrize("j", [1, 3, 6])
@@ -134,17 +148,21 @@ class TestDecorrelatedScore:
         rng = np.random.default_rng(j)
         data = random_instance(rng, 25, 6, paper)
         beta = rng.standard_normal(6)
-        f_s, _ = decorrelated_score(paper, data, beta, j, rho=0.2)
+        f_s = score_at(paper, data, beta, j, rho=0.2).f_s
         assert f_s == pytest.approx(independent_score(paper, data, beta, j, 0.2), abs=1e-12)
 
 
 class TestScoreVariance:
+    """sigma_s^2, the variance estimate of sqrt(n) F_S."""
+
     def test_identity_link_zero_dhat_factorization(self, identity):
         rng = np.random.default_rng(8)
         data = random_instance(rng, 20, 4, identity)
         beta = rng.standard_normal(4)
         j = 2
-        var = score_variance(identity, data, beta, np.zeros(3), j)
+        res = score_at(identity, data, beta, j, rho=1e6)
+        assert np.all(res.d_hat.d_hat == 0.0)
+        var = res.sigma_s ** 2
         resid = data.response - data.design @ beta
         expected = np.mean(data.design[:, j - 1] ** 2) * np.mean(resid ** 2)
         assert var == pytest.approx(expected, abs=1e-12)
@@ -155,15 +173,17 @@ class TestScoreVariance:
         beta = rng.standard_normal(4)
         data = Dataset(design=X, response=np.asarray(paper.eval(X @ beta)))
         with pytest.raises(DegenerateVarianceError):
-            score_variance(paper, data, beta, np.zeros(3), 1)
+            score_at(paper, data, beta, 1, rho=1e6)
 
     @pytest.mark.parametrize("j", [1, 4])
     def test_matches_independent_recomputation(self, paper, j):
         rng = np.random.default_rng(10 + j)
         data = random_instance(rng, 18, 4, paper)
         beta = rng.standard_normal(4)
-        d_hat = 0.3 * rng.standard_normal(3)
-        ours = score_variance(paper, data, beta, d_hat, j)
+        res = score_at(paper, data, beta, j, rho=0.05)
+        d_hat = res.d_hat.d_hat
+        assert np.count_nonzero(d_hat) >= 1
+        ours = res.sigma_s ** 2
         assert ours == pytest.approx(independent_variance(paper, data, beta, d_hat, j), abs=1e-12)
 
 
@@ -217,6 +237,17 @@ class TestScoreTest:
         paper, data, _, result, cfg = fitted_instance
         with pytest.raises(InputError):
             score_test(paper, data, result, InferenceConfig(coordinate=13, rho=1.0))
+
+    @pytest.mark.parametrize("call", [
+        score_test, wald_estimate, lambda *args: list(inference._score_and_wald(*args)),
+    ], ids=["score_test", "wald_estimate", "_score_and_wald"])
+    def test_fit_of_another_width_is_an_input_error(self, identity, call):
+        rng = np.random.default_rng(24)
+        narrow = random_instance(rng, 40, 20, identity)
+        wide = random_instance(rng, 40, 30, identity)
+        result = fit(identity, wide, FitConfig(lam=0.1))
+        with pytest.raises(InputError, match="expected \\(20,\\)"):
+            call(identity, narrow, result, InferenceConfig(coordinate=1, rho=1.0))
 
 
 class TestWald:
@@ -305,13 +336,18 @@ def fitted_table_instance(d, link_name):
     return link, data, fit(link, data, FitConfig(lam=cfg.lambda_rule()))
 
 
-def explicit_pieces(link, data, beta, j, rho):
-    """The score pieces from the full Hessian: loss_hessian -> hessian_partition
-    -> solve_dantzig."""
+def explicit_decorrelate(link, data, beta, j, rho):
+    """The decorrelated pieces from the full Hessian: loss_hessian ->
+    hessian_partition -> solve_dantzig -> loss_gradient."""
     h_aa, h_ag, h_gg = hessian_partition(loss_hessian(link, data, beta), j)
     dres = solve_dantzig(h_ag, h_gg, rho)
     grad = loss_gradient(link, data, beta)
-    return float(grad[j - 1] - dres.d_hat @ np.delete(grad, j - 1)), dres, h_aa, h_ag
+    f_s = float(grad[j - 1] - dres.d_hat @ np.delete(grad, j - 1))
+    u = data.design @ beta
+    xw = data.design[:, j - 1] - np.delete(data.design, j - 1, axis=1) @ dres.d_hat
+    factor_design = float(np.mean((link.deriv(u) * xw) ** 2))
+    factor_resid = float(np.mean((data.response - link.eval(u)) ** 2))
+    return f_s, h_aa - float(h_ag @ dres.d_hat), factor_design, factor_resid, dres
 
 
 class TestMatrixFree:
@@ -326,7 +362,7 @@ class TestMatrixFree:
             cfg = InferenceConfig(coordinate=j, rho=rate_rule(rho_scale, 1.0, 200, d))
             score, wald = score_test(link, data, result, cfg), wald_estimate(link, data, result, cfg)
             with monkeypatch.context() as patched:
-                patched.setattr(inference, "_score_pieces", explicit_pieces)
+                patched.setattr(inference, "_decorrelate", explicit_decorrelate)
                 score0 = score_test(link, data, result, cfg)
                 wald0 = wald_estimate(link, data, result, cfg)
             for new, old, fields in (
@@ -392,3 +428,50 @@ class TestMatrixFree:
         assert read[0] == 10 and 10 not in read[1:]
         assert len(read[1:]) == len(set(read[1:])) < 256 - 1
         assert set(np.flatnonzero(lp.d_hat)) <= {k - (k > 10) for k in read[1:]}
+
+
+def assert_bitwise_equal(new, old):
+    for field in dataclasses.fields(old):
+        a, b = getattr(new, field.name), getattr(old, field.name)
+        if isinstance(b, DantzigResult):
+            assert_bitwise_equal(a, b)
+        else:
+            assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), \
+                (field.name, a, b)
+
+
+class TestScoreAndWald:
+    """One decorrelation per distinct evaluation point, same results."""
+
+    @pytest.mark.parametrize("link_name, case", [
+        ("paper", "equal"), ("identity", "equal"), ("identity", "negative zero"),
+        ("paper", "differ"), ("identity", "differ"),
+    ])
+    def test_equals_separate_calls_and_shares_the_lp(self, monkeypatch, link_name, case):
+        # beta_hat_11 is 0 for the identity fit and about 0.085 for the paper fit
+        link, data, result = fitted_table_instance(64, link_name)
+        assert (result.beta_hat[10] == 0.0) == (link_name == "identity")
+        if case == "negative zero":
+            # the solver leaves -0.0 at many zero coordinates; the null-imposed
+            # point then holds +0.0 there
+            beta_hat = result.beta_hat.copy()
+            beta_hat[10] = -0.0
+            result = dataclasses.replace(result, beta_hat=beta_hat)
+        shared = case != "differ"
+        null_value = float(result.beta_hat[10]) + (0.0 if shared else 0.25)
+        cfg = InferenceConfig(coordinate=11, rho=rate_rule(2.0, 1.0, 200, 64),
+                              null_value=null_value)
+        separate = score_test(link, data, result, cfg), wald_estimate(link, data, result, cfg)
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return original(*args)
+
+        original = inference._solve
+        monkeypatch.setattr(inference, "_solve", counted)
+        score, wald = inference._score_and_wald(link, data, result, cfg)
+        assert len(solves) == (1 if shared else 2)
+        assert not score.d_hat.vacuous and not wald.d_hat.vacuous
+        assert_bitwise_equal(score, separate[0])
+        assert_bitwise_equal(wald, separate[1])
