@@ -58,7 +58,6 @@ from .simulate import (
     SimConfig,
     SweepRow,
     TrialInference,
-    TrialRecord,
     UniformBeta,
     baseline_csv_text,
     generate,

@@ -17,7 +17,6 @@ BLAS thread defaults.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -36,7 +35,6 @@ __all__ = [
     "UniformBeta",
     "ConstantBeta",
     "SimConfig",
-    "TrialRecord",
     "SweepRow",
     "BaselineRow",
     "InferenceRow",
@@ -138,16 +136,6 @@ class SimConfig:
     def rho_rule(self, scale: float = RHO_SCALE) -> float:
         """:func:`rate_rule` at this setting's sigma, n and d."""
         return rate_rule(scale, self.noise_sd, self.n, self.d)
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    trial_index: int
-    l2_error: float
-    l1_error: float
-    effective_sample: float
-    runtime_ms: float = 0.0
-    failure: Optional[str] = None
 
 
 def _stream_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
@@ -300,30 +288,20 @@ class SweepRow:
     failures: int
 
 
-def _sweep_trial(job) -> TrialRecord:
-    config, trial, lam = job
-    started = time.perf_counter()
+def _errors(estimate, truth):
+    err = estimate - truth.beta_star
+    return float(np.linalg.norm(err)), float(np.abs(err).sum())
+
+
+def _sweep_trial(job):
+    """The (l2, l1) error pair of one trial's fit, or the failure message."""
+    config, trial, fit_config = job
     data, truth = generate(config, trial)
-    link = builtin_link(config.link_name)
     try:
-        result = fit(link, data, FitConfig(lam=lam))
+        result = fit(builtin_link(config.link_name), data, fit_config)
     except NlsparseError as exc:
-        return TrialRecord(
-            trial_index=trial,
-            l2_error=np.nan,
-            l1_error=np.nan,
-            effective_sample=config.effective_sample,
-            runtime_ms=1e3 * (time.perf_counter() - started),
-            failure=str(exc),
-        )
-    err = result.beta_hat - truth.beta_star
-    return TrialRecord(
-        trial_index=trial,
-        l2_error=float(np.linalg.norm(err)),
-        l1_error=float(np.abs(err).sum()),
-        effective_sample=config.effective_sample,
-        runtime_ms=1e3 * (time.perf_counter() - started),
-    )
+        return str(exc)
+    return _errors(result.beta_hat, truth)
 
 
 def _mean_sd(values):
@@ -340,19 +318,21 @@ def run_estimation_sweep(configs: Sequence[SimConfig], lambda_scale: float = LAM
     """Fit every trial of every config; summarize l2/l1 errors per grid point.
 
     ``lam`` overrides the default rule lambda = lambda_scale * sigma *
-    sqrt(log d / n). Individual trial failures are counted, not fatal.
+    sqrt(log d / n); an invalid value raises :class:`InputError` before any
+    trial runs. Individual trial failures are counted, not fatal.
     """
     jobs = []
     for config in configs:
-        lam_point = lam if lam is not None else config.lambda_rule(lambda_scale)
-        jobs += [(config, trial, lam_point) for trial in range(config.trials)]
+        fit_config = FitConfig(lam=lam if lam is not None else config.lambda_rule(lambda_scale))
+        jobs += [(config, trial, fit_config) for trial in range(config.trials)]
     results = iter(_map_trials(_sweep_trial, jobs, threads))
     rows = []
     for config in configs:
         records = list(islice(results, config.trials))
-        good = [r for r in records if r.failure is None]
-        mean_l2, sd_l2 = _mean_sd([r.l2_error for r in good])
-        mean_l1, sd_l1 = _mean_sd([r.l1_error for r in good])
+        good = [r for r in records if not isinstance(r, str)]
+        l2, l1 = zip(*good) if good else ((), ())
+        mean_l2, sd_l2 = _mean_sd(l2)
+        mean_l1, sd_l1 = _mean_sd(l1)
         rows.append(SweepRow(
             d=config.d,
             s_star=config.s_star,
@@ -391,7 +371,7 @@ class BaselineRow:
 
 
 def _cv_lasso(data: Dataset, folds: int, grid_size: int):
-    """Pick lambda for an identity-link fit by k-fold cross-validation.
+    """The lasso estimate at a lambda picked by k-fold cross-validation.
 
     The grid is ``grid_size`` log-spaced values spanning
     [1e-4, 1] * sd(z) * sqrt(log d / n), from the largest down. On each
@@ -399,10 +379,10 @@ def _cv_lasso(data: Dataset, folds: int, grid_size: int):
     (:func:`nlsparse.solver._lasso_path`) gives the solution at every grid
     point, each certified by its KKT residual; the held-out mean squared
     error is summed over folds. Folds are contiguous index blocks, which keeps
-    the selection deterministic. The returned estimate is a full-data
-    :func:`fit` at the selected lambda.
+    the selection deterministic. The returned estimate comes from one more
+    walk of the path, on the full data down to the selected lambda, so it is
+    the exact, KKT-certified lasso solution there.
     """
-    identity = builtin_link("identity")
     n, d = data.design.shape
     base = max(float(np.std(data.response, ddof=1)), 1e-8) * np.sqrt(np.log(d) / n)
     grid = np.geomspace(base, 1e-4 * base, grid_size)
@@ -416,28 +396,20 @@ def _cv_lasso(data: Dataset, folds: int, grid_size: int):
         pred_err = data.response[val_rows, None] - data.design[val_rows] @ path.T
         cv_mse += np.sum(pred_err * pred_err, axis=0) / val_rows.size
     best = int(np.argmin(cv_mse))  # ties resolve to the strongest penalty
-    final = fit(identity, data, FitConfig(lam=float(grid[best])))
-    return final.beta_hat, float(grid[best])
+    return _lasso_path(data.design, data.response, grid[:best + 1])[best], float(grid[best])
 
 
 def _baseline_trial(job):
-    config, trial, lam, folds, grid_size = job
+    config, trial, fit_config, folds, grid_size = job
     data, truth = generate(config, trial)
     link = builtin_link(config.link_name)
     try:
-        proposed = fit(link, data, FitConfig(lam=lam)).beta_hat
+        proposed = fit(link, data, fit_config).beta_hat
         inverted = Dataset(design=data.design, response=invert_link(link, data.response))
         baseline, _ = _cv_lasso(inverted, folds, grid_size)
     except NlsparseError as exc:
         return trial, None, None, str(exc)
-    err_p = proposed - truth.beta_star
-    err_b = baseline - truth.beta_star
-    return (
-        trial,
-        (float(np.linalg.norm(err_p)), float(np.abs(err_p).sum())),
-        (float(np.linalg.norm(err_b)), float(np.abs(err_b).sum())),
-        None,
-    )
+    return trial, _errors(proposed, truth), _errors(baseline, truth), None
 
 
 def run_baseline_comparison(configs: Sequence[SimConfig], lambda_scale: float = LAMBDA_SCALE,
@@ -445,8 +417,8 @@ def run_baseline_comparison(configs: Sequence[SimConfig], lambda_scale: float = 
                             threads: Optional[int] = None):
     """Paired comparison: nonlinear fit vs Lasso on inverted responses.
 
-    The baseline transforms each response through the link inverse and runs
-    the identity-link solver with cross-validated regularization. Trials
+    The baseline transforms each response through the link inverse and
+    takes the exact lasso solution at a cross-validated lambda. Trials
     where either side fails are excluded from both means (pairing preserved)
     and counted in ``failures``. Raises :class:`InputError`, before any
     trial runs, unless ``2 <= cv_folds <= n`` at every config and
@@ -459,8 +431,8 @@ def run_baseline_comparison(configs: Sequence[SimConfig], lambda_scale: float = 
         if not 2 <= cv_folds <= config.n:
             raise InputError(f"cross-validation needs 2 <= cv_folds <= n, "
                              f"got cv_folds={cv_folds} at n={config.n}")
-        lam = config.lambda_rule(lambda_scale)
-        jobs += [(config, t, lam, cv_folds, cv_grid_size) for t in range(config.trials)]
+        fit_config = FitConfig(lam=config.lambda_rule(lambda_scale))
+        jobs += [(config, t, fit_config, cv_folds, cv_grid_size) for t in range(config.trials)]
     results = iter(_map_trials(_baseline_trial, jobs, threads))
     rows = []
     for config in configs:
@@ -519,21 +491,21 @@ class InferenceRow:
 
 
 def _inference_trial(job):
-    config, trial, coordinates, lam, rho, delta = job
+    config, trial, fit_config, tests = job
     data, _truth = generate(config, trial)
     link = builtin_link(config.link_name)
     try:
-        fit_result = fit(link, data, FitConfig(lam=lam))
+        fit_result = fit(link, data, fit_config)
     except NlsparseError as exc:
         failed = str(exc)
         return trial, [
-            TrialInference(coordinate=j, score_reject=None, wald_reject=None, failure=failed)
-            for j in coordinates
+            TrialInference(coordinate=cfg.coordinate, score_reject=None, wald_reject=None,
+                           failure=failed)
+            for cfg in tests
         ]
 
     out = []
-    for j in coordinates:
-        cfg = InferenceConfig(coordinate=j, rho=rho, significance=delta)
+    for cfg in tests:
         failure = None
         score_reject = wald_reject = None
         ci_low = ci_high = np.nan
@@ -546,7 +518,7 @@ def _inference_trial(job):
         except NlsparseError as exc:
             failure = str(exc)
         out.append(TrialInference(
-            coordinate=j,
+            coordinate=cfg.coordinate,
             score_reject=score_reject,
             wald_reject=wald_reject,
             ci_low=ci_low,
@@ -557,13 +529,14 @@ def _inference_trial(job):
 
 
 def _inference_jobs(config, coordinates, lambda_scale, rho_scale, significance):
-    lam = config.lambda_rule(lambda_scale)
+    fit_config = FitConfig(lam=config.lambda_rule(lambda_scale))
     rho = config.rho_rule(rho_scale)
-    coords = tuple(int(j) for j in coordinates)
-    for j in coords:
+    tests = []
+    for j in map(int, coordinates):
         if not 1 <= j <= config.d:
             raise InputError(f"coordinate {j} outside 1..{config.d}")
-    return [(config, t, coords, lam, rho, significance) for t in range(config.trials)]
+        tests.append(InferenceConfig(coordinate=j, rho=rho, significance=significance))
+    return [(config, t, fit_config, tuple(tests)) for t in range(config.trials)]
 
 
 def run_inference_trials(config: SimConfig, coordinates: Sequence[int],

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nlsparse import Dataset, FitConfig, InputError, builtin_link, fit, invert_link
+from nlsparse import Dataset, FitConfig, InputError, builtin_link, fit, invert_link, kkt_residual
 from nlsparse.simulate import (
     ConstantBeta,
     SimConfig,
@@ -155,6 +155,18 @@ class TestEstimationSweep:
         assert header == "d,s_star,n,effective_sample,mean_l2,sd_l2,mean_l1,sd_l1,trials,failures"
         assert len(text1.splitlines()) == 2
 
+    @pytest.mark.parametrize("lam", [-1.0, float("nan")])
+    def test_lambda_validated_before_any_trial(self, monkeypatch, lam):
+        import nlsparse.simulate as sim
+
+        def no_trials(*args):
+            raise AssertionError("trials ran before lambda was validated")
+
+        monkeypatch.setattr(sim, "_map_trials", no_trials)
+        configs = [SimConfig(n=30, d=8, s_star=2, seed=1, trials=2)]
+        with pytest.raises(InputError, match="lam"):
+            run_estimation_sweep(configs, lam=lam)
+
 
 class TestBaselineComparison:
     def test_identity_link_methods_agree_roughly(self):
@@ -215,8 +227,16 @@ class TestBaselineComparison:
                 err = data.response[val] - data.design[val] @ ref.beta_hat
                 cv_mse[g] += float(err @ err) / val.size
         assert lam == grid[np.argmin(cv_mse)]
-        final = fit(builtin_link("identity"), data, FitConfig(lam=lam))
-        np.testing.assert_array_equal(beta, final.beta_hat)
+        final = fit(builtin_link("identity"), data, FitConfig(lam=lam, tol=1e-10))
+        np.testing.assert_allclose(beta, final.beta_hat, atol=1e-8)
+
+    @pytest.mark.parametrize("n, d", [(80, 16), (200, 256)])  # the second has n < d
+    def test_baseline_estimate_is_the_exact_lasso_solution(self, n, d):
+        config = SimConfig(n=n, d=d, s_star=8, noise_sd=1.0, seed=35)
+        raw, _ = generate(config, 0)
+        data = Dataset(design=raw.design, response=invert_link(builtin_link("paper"), raw.response))
+        beta, lam = _cv_lasso(data, 5, 30)
+        assert kkt_residual(builtin_link("identity"), data, beta, lam) <= 1e-6 * lam
 
     def test_folds_equal_to_n_run(self):
         configs = [SimConfig(n=6, d=8, s_star=2, seed=34, trials=1)]
@@ -301,6 +321,19 @@ class TestInferenceTable:
         cfg = SimConfig(n=30, d=8, s_star=2, seed=1, trials=2)
         with pytest.raises(InputError):
             run_inference_table(cfg, mu_grid=[0.0, 0.5], type1_coordinate=9)
+
+    def test_significance_validated_before_any_trial(self, monkeypatch):
+        import nlsparse.simulate as sim
+
+        def no_trials(*args):
+            raise AssertionError("trials ran before the significance was validated")
+
+        monkeypatch.setattr(sim, "_map_trials", no_trials)
+        cfg = SimConfig(n=30, d=8, s_star=2, seed=1, trials=2)
+        with pytest.raises(InputError, match="significance"):
+            run_inference_table(cfg, mu_grid=[0.0, 0.5], significance=1.5)
+        with pytest.raises(InputError, match="significance"):
+            run_inference_trials(cfg, coordinates=(3, 1), significance=1.5)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_table_rows_equal_the_per_mu_trials(self, threads):
