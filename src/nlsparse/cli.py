@@ -125,7 +125,8 @@ def _build_parser():
     p_sim.add_argument("--power-coordinate", dest="power_coordinate", type=int,
                        help="null-false coordinate for the table (default 1)")
     p_sim.add_argument("--threads", type=int,
-                       help="worker processes, each trial on one BLAS thread "
+                       help="at most this many worker processes, each trial on one BLAS thread; "
+                            "a small experiment runs in-process "
                             f"(default ${sim.THREADS_ENV_VAR} or the usable CPU count)")
     _add_common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)

@@ -17,7 +17,6 @@ BLAS thread defaults.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import islice
@@ -222,12 +221,10 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _set_blas_threads(count: int) -> Optional[int]:
-    """Set numpy's bundled OpenBLAS to ``count`` threads; return the previous count.
-
-    Returns None and changes nothing when no OpenBLAS handle is found (other
-    BLAS builds), which then run with their own thread count.
-    """
+@lru_cache(maxsize=None)
+def _openblas():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None when no such library is found. Looked up once per process."""
     import ctypes
     import glob
 
@@ -241,31 +238,61 @@ def _set_blas_threads(count: int) -> Optional[int]:
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        previous = int(get())
-        set_(int(count))
-        return previous
+        return get, set_
     return None
 
 
-def _map_trials(worker, jobs, threads):
-    """``[worker(job) for job in jobs]``, in order, on ``threads`` processes.
+def _set_blas_threads(count: int) -> Optional[int]:
+    """Set numpy's bundled OpenBLAS to ``count`` threads; return the previous count.
 
-    Every trial runs with one BLAS thread, in the pool and in the serial loop
-    alike: the BLAS thread count changes the last bits of matrix products, so
-    pinning it keeps results independent of the worker count and of the
-    machine's BLAS default, and it keeps workers x BLAS threads from
-    oversubscribing the cores.
+    Returns None and changes nothing when no OpenBLAS handle is found (other
+    BLAS builds), which then run with their own thread count.
+    """
+    handle = _openblas()
+    if handle is None:
+        return None
+    get, set_ = handle
+    previous = int(get())
+    set_(int(count))
+    return previous
+
+
+# Experiments of at most this many design cells (the sum of n * d over their
+# trials) run in-process: below it, starting a pool and a cold first trial in
+# every worker cost more than the second core saves. The benchmark commands
+# have 51k (table_lp, in-process) and 154k to 1.6M cells (on the pool).
+_SERIAL_CELLS = 2 ** 17
+
+
+def _cells(jobs) -> int:
+    """Sum of n * d over trial jobs whose first item is their SimConfig."""
+    return sum(job[0].n * job[0].d for job in jobs)
+
+
+def _map_trials(worker, jobs, threads, cells=None):
+    """``[worker(job) for job in jobs]``, in order, on up to ``threads`` processes.
+
+    ``cells`` estimates the work (see :func:`_cells`); an experiment of at
+    most ``_SERIAL_CELLS`` runs in this process, as does one job or one
+    thread. Every trial runs with one BLAS thread, in the pool and in the
+    serial loop alike: the BLAS thread count changes the last bits of matrix
+    products, so pinning it keeps results independent of the worker count
+    and of the machine's BLAS default, and it keeps workers x BLAS threads
+    from oversubscribing the cores.
     """
     threads = default_threads() if threads is None else max(1, int(threads))
-    if threads == 1 or len(jobs) <= 1:
+    workers = min(threads, len(jobs))
+    if workers <= 1 or (cells is not None and cells <= _SERIAL_CELLS):
         previous = _set_blas_threads(1)
         try:
             return [worker(job) for job in jobs]
         finally:
             if previous is not None:
                 _set_blas_threads(previous)
-    chunksize = max(1, len(jobs) // (4 * threads))
-    with ProcessPoolExecutor(max_workers=threads, initializer=_set_blas_threads,
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunksize = max(1, len(jobs) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads,
                              initargs=(1,)) as pool:
         return list(pool.map(worker, jobs, chunksize=chunksize))
 
@@ -325,7 +352,7 @@ def run_estimation_sweep(configs: Sequence[SimConfig], lambda_scale: float = LAM
     for config in configs:
         fit_config = FitConfig(lam=lam if lam is not None else config.lambda_rule(lambda_scale))
         jobs += [(config, trial, fit_config) for trial in range(config.trials)]
-    results = iter(_map_trials(_sweep_trial, jobs, threads))
+    results = iter(_map_trials(_sweep_trial, jobs, threads, _cells(jobs)))
     rows = []
     for config in configs:
         records = list(islice(results, config.trials))
@@ -433,7 +460,7 @@ def run_baseline_comparison(configs: Sequence[SimConfig], lambda_scale: float = 
                              f"got cv_folds={cv_folds} at n={config.n}")
         fit_config = FitConfig(lam=config.lambda_rule(lambda_scale))
         jobs += [(config, t, fit_config, cv_folds, cv_grid_size) for t in range(config.trials)]
-    results = iter(_map_trials(_baseline_trial, jobs, threads))
+    results = iter(_map_trials(_baseline_trial, jobs, threads, _cells(jobs)))
     rows = []
     for config in configs:
         outcomes = list(islice(results, config.trials))
@@ -550,7 +577,7 @@ def run_inference_trials(config: SimConfig, coordinates: Sequence[int],
     this directly when per-trial detail (e.g. CI coverage) is needed.
     """
     jobs = _inference_jobs(config, coordinates, lambda_scale, rho_scale, significance)
-    return _map_trials(_inference_trial, jobs, threads)
+    return _map_trials(_inference_trial, jobs, threads, _cells(jobs))
 
 
 def _rejection_rate(outcomes, coordinate, which):
@@ -587,7 +614,7 @@ def run_inference_table(config: SimConfig, mu_grid: Optional[Sequence[float]] = 
     for mu in mu_grid:
         cfg = replace(config, beta_mode=ConstantBeta(mu=float(mu)))
         jobs += _inference_jobs(cfg, coordinates, lambda_scale, rho_scale, significance)
-    results = iter(_map_trials(_inference_trial, jobs, threads))
+    results = iter(_map_trials(_inference_trial, jobs, threads, _cells(jobs)))
     rows = []
     for mu in mu_grid:
         outcomes = list(islice(results, config.trials))

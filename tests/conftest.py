@@ -20,3 +20,12 @@ def random_instance(rng, n, d, link, noise=0.5):
     signal = rng.standard_normal(d)
     y = np.asarray(link.eval(X @ signal)) + noise * rng.standard_normal(n)
     return Dataset(design=X, response=y)
+
+
+@pytest.fixture
+def pool_at_any_size(monkeypatch):
+    """Experiments on two or more workers start a pool however small they are,
+    so a 1-versus-2-worker comparison still compares the serial loop with it."""
+    import nlsparse.simulate
+
+    monkeypatch.setattr(nlsparse.simulate, "_SERIAL_CELLS", 0)

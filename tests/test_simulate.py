@@ -146,7 +146,7 @@ class TestEstimationSweep:
         )
         assert rows[0].mean_l2 <= 1e-2
 
-    def test_csv_shape_and_determinism(self):
+    def test_csv_shape_and_determinism(self, pool_at_any_size):
         configs = [SimConfig(n=60, d=16, s_star=2, noise_sd=1.0, seed=3, trials=4)]
         text1 = sweep_csv_text(run_estimation_sweep(configs, threads=1))
         text2 = sweep_csv_text(run_estimation_sweep(configs, threads=2))
@@ -271,7 +271,7 @@ class TestCholeskyCache:
 
 
 class TestInferenceTable:
-    def test_power_grows_with_signal(self):
+    def test_power_grows_with_signal(self, pool_at_any_size):
         cfg = SimConfig(n=80, d=16, s_star=3, noise_sd=1.0, seed=41, trials=20)
         rows = run_inference_table(cfg, mu_grid=[0.0, 1.5], threads=2)
         assert len(rows) == 2
@@ -295,7 +295,7 @@ class TestInferenceTable:
                 assert o.failure is None
                 assert o.ci_low <= o.ci_high
 
-    def test_csv_bytes_stable_across_threads_and_runs(self):
+    def test_csv_bytes_stable_across_threads_and_runs(self, pool_at_any_size):
         cfg = SimConfig(n=60, d=12, s_star=3, noise_sd=1.0, seed=43, trials=6)
         texts = [
             inference_csv_text(run_inference_table(cfg, mu_grid=[0.0, 0.5], threads=k))
@@ -336,7 +336,7 @@ class TestInferenceTable:
             run_inference_trials(cfg, coordinates=(3, 1), significance=1.5)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_table_rows_equal_the_per_mu_trials(self, threads):
+    def test_table_rows_equal_the_per_mu_trials(self, threads, pool_at_any_size):
         cfg = SimConfig(n=60, d=12, s_star=3, noise_sd=1.0, seed=44, trials=3)
         rows = run_inference_table(cfg, mu_grid=[0.0, 0.5], threads=threads)
         assert [row.mu for row in rows] == [0.0, 0.5]
@@ -427,7 +427,7 @@ class TestBlasThreads:
             _set_blas_threads(caller)
         assert len(texts) == 1
 
-    def test_baseline_csv_independent_of_workers_and_caller_blas_threads(self):
+    def test_baseline_csv_independent_of_workers_and_caller_blas_threads(self, pool_at_any_size):
         caller = _needs_openblas()
         configs = [SimConfig(n=200, d=128, s_star=8, noise_sd=1.0, seed=7, trials=2)]
         texts = set()
@@ -439,6 +439,130 @@ class TestBlasThreads:
         finally:
             _set_blas_threads(caller)
         assert len(texts) == 1
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of every worker pool started; the pools still run."""
+    import concurrent.futures
+
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Recording(real):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return started
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+_SMALL_EXPERIMENTS = {
+    "sweep": lambda threads: sweep_csv_text(run_estimation_sweep(
+        [SimConfig(n=n, d=16, s_star=2, seed=3, trials=3) for n in (40, 80)], threads=threads)),
+    "baseline": lambda threads: baseline_csv_text(run_baseline_comparison(
+        [SimConfig(n=n, d=12, s_star=2, seed=33, trials=2) for n in (40, 60)], threads=threads)),
+    "table": lambda threads: inference_csv_text(run_inference_table(
+        SimConfig(n=60, d=12, s_star=3, seed=43, trials=3), mu_grid=[0.0, 0.5], threads=threads)),
+}
+
+
+class TestSerialThreshold:
+    @pytest.mark.parametrize("threads", [2, None])
+    def test_small_experiment_starts_no_pool(self, monkeypatch, no_pool, threads):
+        from nlsparse.simulate import THREADS_ENV_VAR, _SERIAL_CELLS
+
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        # the benchmark's table_lp command: 2 mu x 2 trials x n * d = 51,200 cells
+        cfg = SimConfig(n=200, d=64, s_star=10, seed=7, trials=2)
+        assert 2 * 2 * cfg.n * cfg.d <= _SERIAL_CELLS
+        rows = run_inference_table(cfg, mu_grid=[0.0, 0.5], rho_scale=2.0, threads=threads)
+        assert [row.trials for row in rows] == [2, 2]
+
+    @pytest.mark.parametrize("threads", [2, None])
+    def test_large_experiment_starts_a_pool(self, monkeypatch, pools, threads):
+        from nlsparse.simulate import THREADS_ENV_VAR, _SERIAL_CELLS
+
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        # two trials of exactly the bound each: twice the bound in all
+        configs = [SimConfig(n=_SERIAL_CELLS // 64, d=64, s_star=2, seed=5, trials=2)]
+        rows = run_estimation_sweep(configs, threads=threads)
+        assert pools == [2]
+        assert rows[0].failures == 0
+
+    def test_bound_is_inclusive(self, monkeypatch, pools):
+        import nlsparse.simulate as sim
+
+        monkeypatch.setattr(sim, "_SERIAL_CELLS", 120)
+        assert sim._map_trials(abs, [-1, -2, -3], 2, cells=120) == [1, 2, 3]
+        assert pools == []
+        assert sim._map_trials(abs, [-1, -2, -3], 2, cells=121) == [1, 2, 3]
+        assert pools == [2]
+
+    def test_threads_cap_the_workers(self, pools):
+        from nlsparse.simulate import _map_trials
+
+        assert _map_trials(abs, [-1, -2], threads=8) == [1, 2]
+        assert pools == [2]
+
+    @pytest.mark.parametrize("experiment", sorted(_SMALL_EXPERIMENTS))
+    def test_csv_bytes_equal_in_process_and_on_a_pool(self, monkeypatch, pools, experiment):
+        import nlsparse.simulate as sim
+
+        in_process = _SMALL_EXPERIMENTS[experiment](2)
+        assert pools == []
+        monkeypatch.setattr(sim, "_SERIAL_CELLS", 0)
+        on_pool = _SMALL_EXPERIMENTS[experiment](2)
+        assert pools == [2]
+        assert on_pool == in_process
+
+    def test_serial_run_imports_no_pool_machinery(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "from nlsparse.cli import main\n"
+            "main(['simulate', '--experiment', 'table', '--n', '40', '--d', '8', '--s-star', '2',"
+            " '--trials', '2', '--mu-grid', '0', '--threads', '2', '--output', sys.argv[1]])\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "t.csv")], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
+
+
+class TestOpenblasHandle:
+    def test_looked_up_once_per_process(self):
+        from nlsparse.simulate import _openblas
+
+        caller = _needs_openblas()
+        misses = _openblas.cache_info().misses
+        for count in (1, 2, caller):
+            _set_blas_threads(count)
+        assert _openblas.cache_info().misses == misses
+
+    def test_no_handle_changes_nothing(self, monkeypatch):
+        import nlsparse.simulate as sim
+
+        monkeypatch.setattr(sim, "_openblas", lambda: None)
+        assert sim._set_blas_threads(1) is None
+        assert sim._map_trials(abs, [-3], threads=1) == [3]
 
 
 class TestCsvFormatting:
