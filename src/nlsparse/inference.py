@@ -128,15 +128,6 @@ def two_sided_p_value(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def _embed_w(d_hat: np.ndarray, j: int, d: int) -> np.ndarray:
-    """Place 1 at coordinate j and -d_hat at the others (ascending order)."""
-    w = np.empty(d)
-    idx = j - 1
-    w[idx] = 1.0
-    w[np.arange(d) != idx] = -d_hat
-    return w
-
-
 def _decorrelate(link, data, beta, j, rho):
     """``(F_S, D0, factor_design, factor_resid, dantzig_result)`` at ``beta``.
 
@@ -168,7 +159,7 @@ def _decorrelate(link, data, beta, j, rho):
         grad = _gradient_at(link, data, u, resid)
     f_s = float(grad[idx] - d_hat @ grad[nuisance])
     d0 = h_aa - float(h_ag @ d_hat)
-    xw = data.design @ _embed_w(d_hat, j, data.d)
+    xw = data.design @ np.insert(-d_hat, idx, 1.0)
     factor_design = float(np.mean((link.deriv(u) * xw) ** 2))
     factor_resid = float(np.mean(resid ** 2))
     return f_s, d0, factor_design, factor_resid, dres
@@ -222,11 +213,15 @@ def _wald_result(n, config, beta_hat, pieces):
     sigma_w = math.sqrt(var_w)
 
     statistic = math.sqrt(n) * (alpha_bar - config.null_value) / sigma_w
-    p_value, reject, z_crit = _two_sided(statistic, config)
+    p_value, _, z_crit = _two_sided(statistic, config)
     half_width = z_crit * sigma_w / math.sqrt(n)
+    ci_low, ci_high = alpha_bar - half_width, alpha_bar + half_width
+    # Rejecting by the interval, not by |statistic| > z_crit, keeps the test
+    # and the interval dual at the endpoints, where the two roundings differ.
+    reject = not ci_low <= config.null_value <= ci_high
     return WaldResult(alpha_bar=alpha_bar, sigma_w=sigma_w, statistic=statistic,
-                      ci_low=alpha_bar - half_width, ci_high=alpha_bar + half_width,
-                      p_value=p_value, reject=reject, d_hat=dres)
+                      ci_low=ci_low, ci_high=ci_high, p_value=p_value, reject=reject,
+                      d_hat=dres)
 
 
 def score_test(link: LinkFunction, data: Dataset, fit: FitResult, config: InferenceConfig) -> ScoreTestResult:

@@ -259,7 +259,7 @@ class FitConfig:
             raise InputError(f"eta must exceed 1, got {self.eta}")
         if not self.zeta > 0.0:
             raise InputError(f"zeta must be positive, got {self.zeta}")
-        if not (isinstance(self.memory, int) and self.memory >= 1):
+        if not (isinstance(self.memory, (int, np.integer)) and self.memory >= 1):
             raise InputError(f"memory must be a positive integer, got {self.memory}")
         if not (0.0 < self.alpha_min < 1.0 < self.alpha_max):
             raise InputError(
@@ -268,9 +268,9 @@ class FitConfig:
             )
         if not self.tol > 0.0:
             raise InputError(f"tol must be positive, got {self.tol}")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
             raise InputError(f"max_iter must be a positive integer, got {self.max_iter}")
-        if not (isinstance(self.max_linesearch, int) and self.max_linesearch >= 1):
+        if not (isinstance(self.max_linesearch, (int, np.integer)) and self.max_linesearch >= 1):
             raise InputError(
                 f"max_linesearch must be a positive integer, got {self.max_linesearch}"
             )

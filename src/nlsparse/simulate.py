@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InputError, NlsparseError, NumericalError
+from .errors import InputError, NlsparseError
 from .model import Dataset, FitConfig, SparsityGroundTruth, builtin_link, invert_link
 # score_test and wald_estimate are unused here, but perfbench/spans.py times them (ROADMAP item 4).
 from .inference import InferenceConfig, _score_and_wald, score_test, wald_estimate  # noqa: F401
@@ -149,30 +149,19 @@ def toeplitz_covariance(d: int, rho: float) -> np.ndarray:
 
 
 def sample_design(n: int, d: int, toeplitz_rho: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw n rows of N(0, Sigma), Sigma_jk = toeplitz_rho^|j-k|, via Cholesky."""
+    """Draw n rows of N(0, Sigma), Sigma_jk = toeplitz_rho^|j-k|.
+
+    Sigma is the covariance of a stationary AR(1) sequence, so each row is
+    built from standard normal draws z as x_1 = z_1 and
+    x_j = rho x_{j-1} + sqrt(1 - rho^2) z_j, in O(nd).
+    """
     if not 0.0 <= toeplitz_rho < 1.0:
         raise InputError(f"toeplitz_rho must lie in [0, 1), got {toeplitz_rho}")
-    return rng.standard_normal((n, d)) @ _toeplitz_cholesky(d, toeplitz_rho).T
-
-
-@lru_cache(maxsize=4)
-def _toeplitz_cholesky(d: int, rho: float) -> np.ndarray:
-    """Read-only Cholesky factor of :func:`toeplitz_covariance`, kept per process.
-
-    It is computed with one BLAS thread, as every trial runs: LAPACK's last
-    bits depend on the thread count, and a cached factor must not depend on
-    which caller computed it first.
-    """
-    previous = _set_blas_threads(1)
-    try:
-        chol = np.linalg.cholesky(toeplitz_covariance(d, rho))
-    except np.linalg.LinAlgError as exc:  # unreachable for rho < 1; defensive
-        raise NumericalError(f"design covariance is not positive definite: {exc}") from exc
-    finally:
-        if previous is not None:
-            _set_blas_threads(previous)
-    chol.flags.writeable = False
-    return chol
+    X = rng.standard_normal((n, d))
+    X[:, 1:] *= np.sqrt(1.0 - toeplitz_rho * toeplitz_rho)
+    for j in range(1, d):
+        X[:, j] += toeplitz_rho * X[:, j - 1]
+    return X
 
 
 def make_beta_star(d: int, s_star: int, beta_mode: BetaMode, rng: np.random.Generator) -> SparsityGroundTruth:
@@ -602,10 +591,14 @@ def run_inference_table(config: SimConfig, mu_grid: Optional[Sequence[float]] = 
     type-I error, and the power coordinate (default 1, inside the support)
     measures power as the rejection frequency under the false null. Trials
     where any requested test failed are reported in ``excluded``; rates are
-    computed over the trials where the specific test succeeded.
+    computed over the trials where the specific test succeeded. ``mu_grid``
+    None means 0, 0.05, ..., 0.5; an empty grid raises :class:`InputError`
+    before any trial runs.
     """
     if mu_grid is None:
         mu_grid = [round(0.05 * k, 2) for k in range(11)]
+    if len(mu_grid) == 0:
+        raise InputError("mu_grid must hold at least one value")
     if type1_coordinate is None:
         type1_coordinate = config.s_star + 1
     coordinates = (type1_coordinate, power_coordinate)

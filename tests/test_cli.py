@@ -233,6 +233,15 @@ class TestSimulateCommand:
         assert lines[0] == "mu,score_type1,score_power,wald_type1,wald_power,trials,excluded"
         assert len(lines) == 3
 
+    def test_table_empty_mu_grid_exits_1(self, capsys, tmp_path):
+        out = tmp_path / "table.csv"
+        code, _, err = run_cli(capsys, "simulate", "--experiment", "table", "--n", "50",
+                               "--d", "10", "--s-star", "2", "--trials", "1", "--mu-grid", "",
+                               "--threads", "1", "--output", str(out))
+        assert code == 1
+        assert "mu_grid" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_sweep_grid_cross_product(self, capsys, tmp_path):
         out = tmp_path / "grid.csv"
         code = main(["simulate", "--experiment", "sweep", "--d", "10",

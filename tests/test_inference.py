@@ -284,6 +284,16 @@ class TestWald:
             assert res.reject == (not inside), c
             assert (res.ci_low, res.ci_high) == (base.ci_low, base.ci_high)
 
+    def test_ci_endpoints_accepted_and_the_next_floats_rejected(self, fitted_instance):
+        paper, data, _, result, cfg = fitted_instance
+        for j in range(1, 13):
+            base = wald_estimate(paper, data, result, InferenceConfig(coordinate=j, rho=cfg.rho_rule()))
+            for end, outward in ((base.ci_low, -np.inf), (base.ci_high, np.inf)):
+                for null, reject in ((end, False), (np.nextafter(end, outward), True)):
+                    res = wald_estimate(paper, data, result, InferenceConfig(
+                        coordinate=j, rho=cfg.rho_rule(), null_value=float(null)))
+                    assert res.reject == reject, (j, null)
+
     def test_reject_iff_pvalue_below_level(self, fitted_instance):
         paper, data, _, result, cfg = fitted_instance
         for j in range(1, 13):

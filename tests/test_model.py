@@ -171,6 +171,11 @@ class TestFitConfig:
         with pytest.raises(InputError):
             FitConfig(**kwargs)
 
+    def test_numpy_integer_counts_accepted(self):
+        cfg = FitConfig(lam=0.1, memory=np.int64(5), max_iter=np.int32(50),
+                        max_linesearch=np.int64(10))
+        assert (cfg.memory, cfg.max_iter, cfg.max_linesearch) == (5, 50, 10)
+
 
 class TestSparsityGroundTruth:
     def test_support_count_enforced(self):

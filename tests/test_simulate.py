@@ -23,7 +23,6 @@ from nlsparse.simulate import (
     _cv_lasso,
     _set_blas_threads,
     _stream_rng,
-    _toeplitz_cholesky,
 )
 
 
@@ -54,6 +53,19 @@ class TestSampleDesign:
     def test_bad_rho(self):
         with pytest.raises(InputError):
             sample_design(5, 3, 1.0, _stream_rng(0, 0, 0))
+
+    @pytest.mark.parametrize("n, d, rho", [(7, 1, 0.95), (30, 2, 0.5), (50, 64, 0.95),
+                                           (200, 512, 0.95), (40, 16, 0.3)])
+    def test_equals_draws_times_cholesky_factor(self, n, d, rho):
+        X = sample_design(n, d, rho, _stream_rng(3, 1, 0))
+        Z = _stream_rng(3, 1, 0).standard_normal((n, d))
+        reference = Z @ np.linalg.cholesky(toeplitz_covariance(d, rho)).T
+        assert X.flags.c_contiguous
+        np.testing.assert_allclose(X, reference, rtol=0, atol=1e-12)
+
+    def test_uncorrelated_design_is_the_draws(self):
+        X = sample_design(40, 9, 0.0, _stream_rng(4, 0, 0))
+        assert X.tobytes() == _stream_rng(4, 0, 0).standard_normal((40, 9)).tobytes()
 
 
 class TestMakeBetaStar:
@@ -244,32 +256,6 @@ class TestBaselineComparison:
         assert row.failures == 0
 
 
-class TestCholeskyCache:
-    def test_generate_bitwise_equal_with_cold_and_warm_cache(self):
-        cfg = SimConfig(n=50, d=64, s_star=3, noise_sd=1.0, seed=5)
-        _toeplitz_cholesky.cache_clear()
-        cold, _ = generate(cfg, 2)
-        warm, _ = generate(cfg, 2)
-        assert _toeplitz_cholesky.cache_info().hits >= 1
-        assert cold.design.tobytes() == warm.design.tobytes()
-        assert cold.response.tobytes() == warm.response.tobytes()
-
-    def test_factor_read_only_and_equal_to_one_thread_cholesky(self):
-        caller = _needs_openblas()
-        try:
-            _set_blas_threads(1)
-            expected = np.linalg.cholesky(toeplitz_covariance(128, 0.95))
-            _set_blas_threads(2)  # the cached factor ignores the caller's count
-            _toeplitz_cholesky.cache_clear()
-            chol = _toeplitz_cholesky(128, 0.95)
-            assert _set_blas_threads(caller) == 2
-        finally:
-            _set_blas_threads(caller)
-        assert chol.tobytes() == expected.tobytes()
-        with pytest.raises(ValueError):
-            chol[0, 0] = 0.0
-
-
 class TestInferenceTable:
     def test_power_grows_with_signal(self, pool_at_any_size):
         cfg = SimConfig(n=80, d=16, s_star=3, noise_sd=1.0, seed=41, trials=20)
@@ -334,6 +320,16 @@ class TestInferenceTable:
             run_inference_table(cfg, mu_grid=[0.0, 0.5], significance=1.5)
         with pytest.raises(InputError, match="significance"):
             run_inference_trials(cfg, coordinates=(3, 1), significance=1.5)
+
+    def test_empty_mu_grid_rejected_before_any_trial(self, monkeypatch):
+        import nlsparse.simulate as sim
+
+        def no_trials(*args):
+            raise AssertionError("trials ran before the mu grid was validated")
+
+        monkeypatch.setattr(sim, "_map_trials", no_trials)
+        with pytest.raises(InputError, match="mu_grid"):
+            run_inference_table(SimConfig(n=30, d=8, s_star=2, seed=1, trials=2), mu_grid=[])
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_table_rows_equal_the_per_mu_trials(self, threads, pool_at_any_size):
@@ -405,6 +401,18 @@ class TestBlasThreads:
             assert _set_blas_threads(3) == 3
         finally:
             _set_blas_threads(caller)
+
+    def test_generate_independent_of_caller_blas_threads(self):
+        caller = _needs_openblas()
+        cfg = SimConfig(n=200, d=512, s_star=10, noise_sd=1.0, seed=7)
+        designs = set()
+        try:
+            for caller_threads in (1, 2):
+                _set_blas_threads(caller_threads)
+                designs.add(generate(cfg, 1)[0].design.tobytes())
+        finally:
+            _set_blas_threads(caller)
+        assert len(designs) == 1
 
     def test_pool_workers_run_one_thread(self):
         from nlsparse.simulate import _map_trials
