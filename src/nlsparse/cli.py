@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -191,9 +192,12 @@ def _user_options(args, cfg, config_type, skip=(), keys=None):
 def _emit(text: str, output: str):
     if output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {output}: {exc}") from exc
 
 
 def _doc(pairs, beta=None) -> str:
@@ -351,6 +355,9 @@ def _parse_beta_mode(raw):
 
 
 def _cmd_simulate(args) -> int:
+    # an experiment can run for hours: reject an output it cannot write before it starts
+    if args.output != "-" and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+        raise InputError(f"cannot write {args.output}: its directory does not exist")
     cfg = _load_config(args)
     base = _user_options(args, cfg, sim.SimConfig, skip=("n", "d", "s_star", "trials"),
                          keys={"link_name": "link", "noise_sd": "sigma"})

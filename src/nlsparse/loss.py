@@ -21,7 +21,6 @@ __all__ = [
     "loss_value",
     "loss_gradient",
     "loss_hessian",
-    "hessian_partition",
     "penalized_objective",
 ]
 
@@ -90,26 +89,6 @@ def _hessian_diagonal(data, weights):
     """The Hessian's diagonal, w' (X * X) / n, in O(n d)."""
     with np.errstate(over="ignore", invalid="ignore"):
         return weights @ np.square(data.design) / data.n
-
-
-def hessian_partition(hess, j: int):
-    """Split a d x d Hessian at coordinate j (1-based).
-
-    Returns ``(h_aa, h_ag, h_gg)``: the (j, j) scalar, row j with entry j
-    removed, and the matrix with row and column j removed. The remaining
-    d - 1 coordinates keep their ascending original order.
-    """
-    hess = np.asarray(hess, dtype=float)
-    if hess.ndim != 2 or hess.shape[0] != hess.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {hess.shape}")
-    d = hess.shape[0]
-    if not (isinstance(j, (int, np.integer)) and 1 <= j <= d):
-        raise InputError(f"coordinate j must be in 1..{d}, got {j}")
-    idx = j - 1
-    h_aa = float(hess[idx, idx])
-    h_ag = np.delete(hess[idx, :], idx)
-    h_gg = np.delete(np.delete(hess, idx, axis=0), idx, axis=1)
-    return h_aa, h_ag, h_gg
 
 
 def penalized_objective(link: LinkFunction, data: Dataset, beta, lam: float) -> float:

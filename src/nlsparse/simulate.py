@@ -235,14 +235,17 @@ def _set_blas_threads(count: int) -> Optional[int]:
     """Set numpy's bundled OpenBLAS to ``count`` threads; return the previous count.
 
     Returns None and changes nothing when no OpenBLAS handle is found (other
-    BLAS builds), which then run with their own thread count.
+    BLAS builds), which then run with their own thread count. A count that
+    already holds is not set again: each set restarts OpenBLAS's helper
+    threads in a forked process, where they busy-wait before they sleep.
     """
     handle = _openblas()
     if handle is None:
         return None
     get, set_ = handle
     previous = int(get())
-    set_(int(count))
+    if previous != int(count):
+        set_(int(count))
     return previous
 
 
@@ -267,23 +270,25 @@ def _map_trials(worker, jobs, threads, cells=None):
     serial loop alike: the BLAS thread count changes the last bits of matrix
     products, so pinning it keeps results independent of the worker count
     and of the machine's BLAS default, and it keeps workers x BLAS threads
-    from oversubscribing the cores.
+    from oversubscribing the cores. The pin is set here before the pool
+    starts, so forked workers inherit it; the initializer sets it in spawned
+    ones.
     """
     threads = default_threads() if threads is None else max(1, int(threads))
     workers = min(threads, len(jobs))
-    if workers <= 1 or (cells is not None and cells <= _SERIAL_CELLS):
-        previous = _set_blas_threads(1)
-        try:
+    previous = _set_blas_threads(1)
+    try:
+        if workers <= 1 or (cells is not None and cells <= _SERIAL_CELLS):
             return [worker(job) for job in jobs]
-        finally:
-            if previous is not None:
-                _set_blas_threads(previous)
-    from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
 
-    chunksize = max(1, len(jobs) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads,
-                             initargs=(1,)) as pool:
-        return list(pool.map(worker, jobs, chunksize=chunksize))
+        chunksize = max(1, len(jobs) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads,
+                                 initargs=(1,)) as pool:
+            return list(pool.map(worker, jobs, chunksize=chunksize))
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
 
 
 # ---------------------------------------------------------------------------

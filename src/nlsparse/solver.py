@@ -25,7 +25,6 @@ __all__ = [
     "FitResult",
     "soft_threshold",
     "bb_stepsize",
-    "prox_step",
     "acceptance_check",
     "fit",
     "kkt_residual",
@@ -95,15 +94,6 @@ def bb_stepsize(t: int, delta, g, alpha_min: float, alpha_max: float) -> float:
         if not np.isfinite(alpha) or alpha <= 0.0:
             alpha = 1.0
     return min(max(alpha, alpha_min), alpha_max)
-
-
-def prox_step(link: LinkFunction, data: Dataset, beta_t, alpha_t: float, lam: float):
-    """One proximal update: soft-threshold the gradient step at level lam/alpha."""
-    if not alpha_t > 0.0:
-        raise InputError(f"alpha_t must be positive, got {alpha_t}")
-    beta_t = _check_beta(data, beta_t)
-    u = beta_t - loss_gradient(link, data, beta_t) / alpha_t
-    return soft_threshold(u, lam / alpha_t)
 
 
 def acceptance_check(objective_history, phi_new: float, alpha_t: float, step, zeta: float, memory: int) -> bool:

@@ -117,6 +117,12 @@ class TestFitCommand:
         assert out == ""
         assert "command=fit" in out_path.read_text()
 
+    def test_unwritable_output_exits_1(self, capsys, dataset_csv, tmp_path):
+        code, _, err = run_cli(capsys, "fit", "--data", str(dataset_csv),
+                               "--lambda", "0.05", "--output", str(tmp_path))
+        assert code == 1
+        assert err.startswith("nlsparse: error: cannot write") and "Traceback" not in err
+
     def test_config_file_with_cli_override(self, capsys, dataset_csv, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"lam": 0.2, "link": "paper"}))
@@ -281,6 +287,20 @@ class TestSimulateCommand:
         assert code == 0
         assert out.splitlines()[0].startswith("mu,")
 
+    def test_missing_output_directory_exits_1_before_any_trial(self, capsys, monkeypatch,
+                                                               tmp_path):
+        import nlsparse.simulate as sim
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sim, "_map_trials", no_trials)
+        code, _, err = run_cli(capsys, "simulate", "--experiment", "table", "--n", "50",
+                               "--d", "10", "--s-star", "2", "--trials", "1",
+                               "--output", str(tmp_path / "missing" / "t.csv"))
+        assert code == 1
+        assert err.startswith("nlsparse: error: cannot write") and "Traceback" not in err
+
     def test_missing_dimensions_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--experiment", "sweep")
         assert code == 1
@@ -348,3 +368,90 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert "command=fit" in proc.stdout
+
+
+_TINY_TABLE = ["simulate", "--experiment", "table", "--n", "40", "--d", "8", "--s-star", "2",
+               "--mu-grid", "0", "--trials", "2", "--seed", "3", "--threads", "1"]
+# prints the OpenBLAS thread count of the child after its statements ran
+_PRINT_THREADS = "from nlsparse.simulate import _openblas; print(_openblas()[0]())"
+
+
+def _child(args, blas_threads=None):
+    """Run ``python args`` in a fresh interpreter that finds this nlsparse, with
+    no BLAS thread variable set or with OPENBLAS_NUM_THREADS=blas_threads."""
+    import os
+    import subprocess
+    import sys
+
+    import nlsparse
+    from nlsparse.__main__ import _BLAS_THREAD_VARS
+
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    src = os.path.dirname(os.path.dirname(nlsparse.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture
+def openblas():
+    from nlsparse.simulate import _openblas
+
+    if _openblas() is None:
+        pytest.skip("no OpenBLAS handle found")
+
+
+class TestEntryPoint:
+    def test_import_loads_no_numpy(self):
+        assert _child(["-c", "import sys, nlsparse; print('numpy' in sys.modules)"]) == "False\n"
+
+    def test_lazy_exports_resolve(self):
+        code = """
+import importlib, nlsparse
+for name in nlsparse.__all__:
+    assert getattr(nlsparse, name) is not None, name
+    assert name in dir(nlsparse), name
+for sub in ("cli", "dantzig", "diagnostics", "errors", "inference", "loss", "model",
+            "simulate", "solver"):
+    assert getattr(nlsparse, sub) is importlib.import_module("nlsparse." + sub), sub
+from nlsparse import fit, InputError, run_inference_table
+assert fit is nlsparse.solver.fit
+namespace = {}
+exec("from nlsparse import *", namespace)
+assert set(nlsparse.__all__) <= set(namespace)
+try:
+    nlsparse.no_such_name
+except AttributeError:
+    print("ok")
+"""
+        assert _child(["-c", code]) == "ok\n"
+
+    def test_simulate_loads_openblas_single_threaded(self, openblas):
+        code = f"from nlsparse.__main__ import main; main({_TINY_TABLE!r}); {_PRINT_THREADS}"
+        assert _child(["-c", code]).splitlines()[-1] == "1"
+
+    def test_simulate_keeps_the_users_blas_threads(self, openblas):
+        code = f"from nlsparse.__main__ import main; main({_TINY_TABLE!r}); {_PRINT_THREADS}"
+        assert _child(["-c", code], blas_threads=2).splitlines()[-1] == "2"
+
+    def test_fit_keeps_the_blas_default(self, openblas, dataset_csv):
+        argv = ["fit", "--data", str(dataset_csv), "--lambda", "0.1"]
+        code = f"from nlsparse.__main__ import main; main({argv!r}); {_PRINT_THREADS}"
+        bare = _child(["-c", f"import numpy; {_PRINT_THREADS}"])
+        assert _child(["-c", code]).splitlines()[-1] == bare.strip()
+
+    def test_simulate_csv_independent_of_how_blas_loads(self, openblas, tmp_path):
+        # at d = 128, n = 1600 OpenBLAS threads the matrix products
+        argv = ["-m", "nlsparse", "simulate", "--experiment", "sweep", "--d", "128",
+                "--s-star", "5", "--n-grid", "1600", "--trials", "2", "--seed", "7",
+                "--threads", "2"]
+        texts = set()
+        for blas_threads in (None, 2):
+            out = tmp_path / f"sweep_{blas_threads}.csv"
+            _child(argv + ["--output", str(out)], blas_threads=blas_threads)
+            texts.add(out.read_bytes())
+        assert len(texts) == 1

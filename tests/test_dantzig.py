@@ -7,8 +7,9 @@ from scipy.optimize import linprog
 
 from nlsparse import FitConfig, InputError, builtin_link, fit, solve_dantzig
 from nlsparse.dantzig import _solve
-from nlsparse.loss import hessian_partition, loss_hessian
+from nlsparse.loss import loss_hessian
 from nlsparse.simulate import ConstantBeta, SimConfig, generate, rate_rule
+from tests.conftest import hessian_partition
 
 
 def enumerate_lp_optimum(h_ag, h_gg, rho):

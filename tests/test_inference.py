@@ -27,10 +27,9 @@ from nlsparse import (
     wald_estimate,
 )
 from nlsparse import inference, loss
-from nlsparse.loss import hessian_partition
 from nlsparse.simulate import ConstantBeta, SimConfig, generate, rate_rule
 from nlsparse.solver import FitResult
-from tests.conftest import random_instance
+from tests.conftest import hessian_partition, random_instance
 from tests.test_dantzig import highs_optimum
 
 # frozen from scipy.special.ndtri(0.975)
@@ -410,8 +409,7 @@ class TestMatrixFree:
         def forbidden(*args):
             raise AssertionError("the d x d Hessian was formed")
 
-        for name in ("loss_hessian", "hessian_partition"):
-            monkeypatch.setattr(loss, name, forbidden)
+        monkeypatch.setattr(loss, "loss_hessian", forbidden)
         read = []
 
         def rows(data, weights, idx):

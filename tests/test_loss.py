@@ -5,13 +5,12 @@ from nlsparse import (
     Dataset,
     InputError,
     builtin_link,
-    hessian_partition,
     loss_gradient,
     loss_hessian,
     loss_value,
     penalized_objective,
 )
-from tests.conftest import random_instance
+from tests.conftest import hessian_partition, random_instance
 
 
 def reversed_sum_loss(link, data, beta):

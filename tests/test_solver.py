@@ -14,7 +14,6 @@ from nlsparse import (
     invert_link,
     kkt_residual,
     penalized_objective,
-    prox_step,
     soft_threshold,
 )
 from nlsparse.simulate import SimConfig, generate
@@ -62,36 +61,6 @@ class TestBBStepsize:
     def test_clamping(self):
         assert bb_stepsize(1, np.array([1.0]), np.array([100.0]), 1e-30, 10.0) == 10.0
         assert bb_stepsize(1, np.array([100.0]), np.array([1.0]), 0.5, 1e30) == 0.5
-
-
-class TestProxStep:
-    def test_fixed_point_when_gradient_zero(self, paper):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((10, 3))
-        beta = rng.standard_normal(3)
-        data = Dataset(design=X, response=np.asarray(paper.eval(X @ beta)))
-        np.testing.assert_allclose(prox_step(paper, data, beta, 2.0, 0.0), beta, atol=1e-13)
-
-    def test_shrinks_toward_zero_with_penalty(self, paper):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((10, 3))
-        beta = rng.standard_normal(3)
-        data = Dataset(design=X, response=np.asarray(paper.eval(X @ beta)))
-        out = prox_step(paper, data, beta, 2.0, 0.8)
-        np.testing.assert_allclose(out, soft_threshold(beta, 0.4), atol=1e-13)
-
-    def test_orthogonal_identity_from_zero(self, identity):
-        # X = I: gradient at 0 is -y/n, so u = y/(n*alpha) and lam=0 returns u
-        y = np.array([2.0, -1.0, 0.5])
-        data = Dataset(design=np.eye(3), response=y)
-        alpha = 0.25
-        out = prox_step(identity, data, np.zeros(3), alpha, 0.0)
-        np.testing.assert_allclose(out, y / (3 * alpha), atol=1e-15)
-
-    def test_bad_alpha(self, identity):
-        data = Dataset(design=np.eye(2), response=np.zeros(2))
-        with pytest.raises(InputError):
-            prox_step(identity, data, np.zeros(2), 0.0, 0.1)
 
 
 class TestAcceptanceCheck:
