@@ -26,7 +26,6 @@ coincide and the experiments decorrelate once for both. Coordinates are
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +115,9 @@ def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF (``statistics.NormalDist.inv_cdf``)."""
     if not (isinstance(p, (float, int, np.floating, np.integer)) and 0.0 < p < 1.0):
         raise InputError(f"quantile argument must lie strictly in (0, 1), got {p!r}")
-    return statistics.NormalDist().inv_cdf(float(p))
+    from statistics import NormalDist  # loaded on first use: only inference needs it
+
+    return NormalDist().inv_cdf(float(p))
 
 
 def two_sided_p_value(z: float) -> float:

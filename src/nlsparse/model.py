@@ -27,6 +27,10 @@ __all__ = [
 
 
 def _frozen_array(x, dtype=float):
+    """A read-only array of ``x``: ``x`` itself when it is already a read-only
+    array of ``dtype`` that owns its data, else a read-only copy."""
+    if isinstance(x, np.ndarray) and x.dtype == dtype and x.flags.owndata and not x.flags.writeable:
+        return x
     a = np.array(x, dtype=dtype)
     a.flags.writeable = False
     return a
@@ -305,38 +309,47 @@ class SparsityGroundTruth:
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset from CSV: first column y, then x1..xd.
 
-    A header row is detected by a non-numeric first cell and skipped.
+    A header row is detected by a non-numeric first cell and skipped. Blank
+    lines are ignored; rows are numbered from the first data row.
     """
-    rows = []
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for raw in reader:
-                if raw:
-                    rows.append(raw)
+            lines = [line for line in fh if line.rstrip("\r\n")]
     except OSError as exc:
         raise InputError(f"cannot read dataset {path}: {exc}") from exc
-    if not rows:
+    if not lines:
         raise InputError(f"dataset {path} is empty")
 
     try:
-        float(rows[0][0])
+        float(next(csv.reader(lines[:1]))[0])
     except ValueError:
-        rows = rows[1:]
-    if not rows:
+        lines = lines[1:]
+    if not lines:
         raise InputError(f"dataset {path} has a header but no data rows")
 
+    try:
+        data = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError as exc:
+        raise _row_error(path, lines, exc) from exc
+    if data.shape[1] < 2:
+        raise _row_error(path, lines, None)
+    return Dataset(design=data[:, 1:], response=data[:, 0])
+
+
+def _row_error(path, lines, exc) -> InputError:
+    """The InputError naming the first row of ``lines`` that np.loadtxt could
+    not read (``exc``) or that lacks a covariate."""
+    rows = list(csv.reader(lines))
     width = len(rows[0])
     if width < 2:
-        raise InputError(f"dataset {path}: rows need a response and at least one covariate")
-    data = np.empty((len(rows), width), dtype=float)
+        return InputError(f"dataset {path}: rows need a response and at least one covariate")
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise InputError(
+            return InputError(
                 f"dataset {path}: row {i + 1} has {len(row)} fields, expected {width}"
             )
         try:
-            data[i] = [float(cell) for cell in row]
-        except ValueError as exc:
-            raise InputError(f"dataset {path}: row {i + 1} is not numeric: {exc}") from exc
-    return Dataset(design=data[:, 1:], response=data[:, 0])
+            list(map(float, row))
+        except ValueError as bad:
+            return InputError(f"dataset {path}: row {i + 1} is not numeric: {bad}")
+    return InputError(f"dataset {path} is not numeric CSV: {exc}")

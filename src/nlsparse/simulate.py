@@ -17,6 +17,7 @@ BLAS thread defaults.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import islice
@@ -193,6 +194,7 @@ def generate(config: SimConfig, trial: int):
     )
     noise = _stream_rng(config.seed, trial, _STREAM_NOISE).standard_normal(config.n)
     y = link.eval(X @ truth.beta_star) + config.noise_sd * noise
+    X.flags.writeable = False  # the Dataset then holds X itself, not a copy
     return Dataset(design=X, response=y), truth
 
 
@@ -249,43 +251,67 @@ def _set_blas_threads(count: int) -> Optional[int]:
     return previous
 
 
-# Experiments of at most this many design cells (the sum of n * d over their
-# trials) run in-process: below it, starting a pool and a cold first trial in
-# every worker cost more than the second core saves. The benchmark commands
-# have 51k (table_lp, in-process) and 154k to 1.6M cells (on the pool).
-_SERIAL_CELLS = 2 ** 17
+# Wall time a pool must save before one is started. Importing
+# concurrent.futures and starting, feeding and stopping a 2-worker pool took
+# 40-50 ms in a process that had loaded nlsparse, and two busy processes ran
+# trials 1.3-1.5x, not 2x, as fast as one. Fresh `simulate --experiment table
+# --d 512` commands broke even between 1 and 2 workers at about 0.2 s of
+# serial trial time, where 2 workers would save 0.1 s (2-core x86-64 VM,
+# numpy 2.4 with its bundled OpenBLAS).
+_POOL_START_S = 0.1
 
 
-def _cells(jobs) -> int:
-    """Sum of n * d over trial jobs whose first item is their SimConfig."""
-    return sum(job[0].n * job[0].d for job in jobs)
+def _job_cells(job) -> int:
+    """n * d of a trial job whose first item is its SimConfig; 1 for any other job."""
+    config = job[0] if isinstance(job, tuple) else None
+    return config.n * config.d if isinstance(config, SimConfig) else 1
 
 
-def _map_trials(worker, jobs, threads, cells=None):
+def _pool_pays(seconds, cells_done, cells_left, workers) -> bool:
+    """Whether ``workers`` processes would save more than ``_POOL_START_S`` on
+    the jobs left, priced at the measured ``seconds`` per ``cells_done``."""
+    return seconds / cells_done * cells_left * (1.0 - 1.0 / workers) > _POOL_START_S
+
+
+def _map_trials(worker, jobs, threads):
     """``[worker(job) for job in jobs]``, in order, on up to ``threads`` processes.
 
-    ``cells`` estimates the work (see :func:`_cells`); an experiment of at
-    most ``_SERIAL_CELLS`` runs in this process, as does one job or one
-    thread. Every trial runs with one BLAS thread, in the pool and in the
-    serial loop alike: the BLAS thread count changes the last bits of matrix
-    products, so pinning it keeps results independent of the worker count
-    and of the machine's BLAS default, and it keeps workers x BLAS threads
-    from oversubscribing the cores. The pin is set here before the pool
-    starts, so forked workers inherit it; the initializer sets it in spawned
-    ones.
+    The jobs run in this process, timed, until the measured time per design
+    cell (:func:`_job_cells`) projects that a pool would save more than it costs
+    to start (:func:`_pool_pays`); the jobs left then go to a pool of up to
+    ``threads`` workers. One thread, one job left, or a cheap experiment keeps
+    every job in this process. Every trial runs with one BLAS thread, in the
+    pool and in this process alike: the BLAS thread count changes the last
+    bits of matrix products, so pinning it keeps results independent of the
+    worker count, of where the pool takes over and of the machine's BLAS
+    default, and it keeps workers x BLAS threads from oversubscribing the
+    cores. The pin is set here before the pool starts, so forked workers
+    inherit it; the initializer sets it in spawned ones.
     """
     threads = default_threads() if threads is None else max(1, int(threads))
-    workers = min(threads, len(jobs))
+    cells = [_job_cells(job) for job in jobs]
+    cells_left = sum(cells)
+    cells_done, seconds, results = 0, 0.0, []
+    # numpy imports numpy.random on first use (about 20 ms): import it before
+    # the clock starts, so that the first trial's time prices only the trial
+    import numpy.random  # noqa: F401
     previous = _set_blas_threads(1)
     try:
-        if workers <= 1 or (cells is not None and cells <= _SERIAL_CELLS):
-            return [worker(job) for job in jobs]
-        from concurrent.futures import ProcessPoolExecutor
+        for index, job in enumerate(jobs):
+            workers = min(threads, len(jobs) - index)
+            if workers > 1 and cells_done and _pool_pays(seconds, cells_done, cells_left, workers):
+                from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = max(1, len(jobs) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads,
-                                 initargs=(1,)) as pool:
-            return list(pool.map(worker, jobs, chunksize=chunksize))
+                chunksize = max(1, (len(jobs) - index) // (4 * workers))
+                with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads,
+                                         initargs=(1,)) as pool:
+                    return results + list(pool.map(worker, jobs[index:], chunksize=chunksize))
+            started = time.perf_counter()
+            results.append(worker(job))
+            seconds += time.perf_counter() - started
+            cells_done += cells[index]
+            cells_left -= cells[index]
+        return results
     finally:
         if previous is not None:
             _set_blas_threads(previous)
@@ -346,7 +372,7 @@ def run_estimation_sweep(configs: Sequence[SimConfig], lambda_scale: float = LAM
     for config in configs:
         fit_config = FitConfig(lam=lam if lam is not None else config.lambda_rule(lambda_scale))
         jobs += [(config, trial, fit_config) for trial in range(config.trials)]
-    results = iter(_map_trials(_sweep_trial, jobs, threads, _cells(jobs)))
+    results = iter(_map_trials(_sweep_trial, jobs, threads))
     rows = []
     for config in configs:
         records = list(islice(results, config.trials))
@@ -454,7 +480,7 @@ def run_baseline_comparison(configs: Sequence[SimConfig], lambda_scale: float = 
                              f"got cv_folds={cv_folds} at n={config.n}")
         fit_config = FitConfig(lam=config.lambda_rule(lambda_scale))
         jobs += [(config, t, fit_config, cv_folds, cv_grid_size) for t in range(config.trials)]
-    results = iter(_map_trials(_baseline_trial, jobs, threads, _cells(jobs)))
+    results = iter(_map_trials(_baseline_trial, jobs, threads))
     rows = []
     for config in configs:
         outcomes = list(islice(results, config.trials))
@@ -571,7 +597,7 @@ def run_inference_trials(config: SimConfig, coordinates: Sequence[int],
     this directly when per-trial detail (e.g. CI coverage) is needed.
     """
     jobs = _inference_jobs(config, coordinates, lambda_scale, rho_scale, significance)
-    return _map_trials(_inference_trial, jobs, threads, _cells(jobs))
+    return _map_trials(_inference_trial, jobs, threads)
 
 
 def _rejection_rate(outcomes, coordinate, which):
@@ -612,7 +638,7 @@ def run_inference_table(config: SimConfig, mu_grid: Optional[Sequence[float]] = 
     for mu in mu_grid:
         cfg = replace(config, beta_mode=ConstantBeta(mu=float(mu)))
         jobs += _inference_jobs(cfg, coordinates, lambda_scale, rho_scale, significance)
-    results = iter(_map_trials(_inference_trial, jobs, threads, _cells(jobs)))
+    results = iter(_map_trials(_inference_trial, jobs, threads))
     rows = []
     for mu in mu_grid:
         outcomes = list(islice(results, config.trials))

@@ -36,9 +36,11 @@ def hessian_partition(hess, j: int):
 
 
 @pytest.fixture
-def pool_at_any_size(monkeypatch):
-    """Experiments on two or more workers start a pool however small they are,
-    so a 1-versus-2-worker comparison still compares the serial loop with it."""
+def force_pool(monkeypatch):
+    """Experiments on two or more workers hand every trial after the first to a
+    pool, however cheap, so a 1-versus-2-worker comparison still compares the
+    in-process loop with the pool. Give it at least 3 jobs: a pool is started
+    only while two or more jobs are left."""
     import nlsparse.simulate
 
-    monkeypatch.setattr(nlsparse.simulate, "_SERIAL_CELLS", 0)
+    monkeypatch.setattr(nlsparse.simulate, "_POOL_START_S", float("-inf"))

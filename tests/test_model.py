@@ -149,6 +149,16 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.response[0] = 5.0
 
+    def test_copies_unless_given_a_read_only_array_it_can_hold(self):
+        design, response = np.ones((2, 2)), np.zeros(2)
+        ds = Dataset(design=design, response=response)
+        design[0, 0] = response[0] = 5.0
+        assert ds.design[0, 0] == 1.0 and ds.response[0] == 0.0
+        design.flags.writeable = False
+        assert Dataset(design=design, response=response).design is design
+        view = design[:, :1]
+        assert Dataset(design=view, response=response).design is not view
+
 
 class TestFitConfig:
     def test_defaults_valid(self):
@@ -214,3 +224,32 @@ class TestCsvLoader:
         path.write_text("1.0,2.0\n3.0,oops\n")
         with pytest.raises(InputError, match="not numeric"):
             load_dataset_csv(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "is empty"),
+        ("\n\n", "is empty"),
+        ("y,x1\n", "header but no data rows"),
+        ("1.0\n2.0\n", "at least one covariate"),
+        ("1.0\n2.0,3.0\n", "at least one covariate"),
+        ("y,x1\n1.0,2.0\n\n3.0,4.0,5.0\n", "row 2 has 3 fields, expected 2"),
+        ("y,x1\n1.0,2.0\n3.0,oops\n", "row 2 is not numeric"),
+        ("1.0,2.0\n# comment,3.0\n", "row 2 is not numeric"),
+    ])
+    def test_malformed_files_name_the_problem(self, tmp_path, text, match):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=match):
+            load_dataset_csv(path)
+
+    def test_values_equal_python_float_parsing(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-12, 12, (7, 4))
+        cells = [[repr(float(v)) for v in row] for row in values]
+        cells[0][1] = '"2.5"'
+        cells[1][2] = " -1e-3 "
+        path = tmp_path / "d.csv"
+        path.write_text("y,x1,x2,x3\r\n" + "\r\n".join(",".join(row) for row in cells) + "\r\n")
+        ds = load_dataset_csv(path)
+        expected = np.array([[float(c.strip('"')) for c in row] for row in cells])
+        np.testing.assert_array_equal(ds.response, expected[:, 0])
+        np.testing.assert_array_equal(ds.design, expected[:, 1:])

@@ -1,4 +1,6 @@
 from dataclasses import replace
+from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -158,7 +160,7 @@ class TestEstimationSweep:
         )
         assert rows[0].mean_l2 <= 1e-2
 
-    def test_csv_shape_and_determinism(self, pool_at_any_size):
+    def test_csv_shape_and_determinism(self, force_pool):
         configs = [SimConfig(n=60, d=16, s_star=2, noise_sd=1.0, seed=3, trials=4)]
         text1 = sweep_csv_text(run_estimation_sweep(configs, threads=1))
         text2 = sweep_csv_text(run_estimation_sweep(configs, threads=2))
@@ -257,7 +259,7 @@ class TestBaselineComparison:
 
 
 class TestInferenceTable:
-    def test_power_grows_with_signal(self, pool_at_any_size):
+    def test_power_grows_with_signal(self, force_pool):
         cfg = SimConfig(n=80, d=16, s_star=3, noise_sd=1.0, seed=41, trials=20)
         rows = run_inference_table(cfg, mu_grid=[0.0, 1.5], threads=2)
         assert len(rows) == 2
@@ -281,7 +283,7 @@ class TestInferenceTable:
                 assert o.failure is None
                 assert o.ci_low <= o.ci_high
 
-    def test_csv_bytes_stable_across_threads_and_runs(self, pool_at_any_size):
+    def test_csv_bytes_stable_across_threads_and_runs(self, force_pool):
         cfg = SimConfig(n=60, d=12, s_star=3, noise_sd=1.0, seed=43, trials=6)
         texts = [
             inference_csv_text(run_inference_table(cfg, mu_grid=[0.0, 0.5], threads=k))
@@ -332,7 +334,7 @@ class TestInferenceTable:
             run_inference_table(SimConfig(n=30, d=8, s_star=2, seed=1, trials=2), mu_grid=[])
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_table_rows_equal_the_per_mu_trials(self, threads, pool_at_any_size):
+    def test_table_rows_equal_the_per_mu_trials(self, threads, force_pool):
         cfg = SimConfig(n=60, d=12, s_star=3, noise_sd=1.0, seed=44, trials=3)
         rows = run_inference_table(cfg, mu_grid=[0.0, 0.5], threads=threads)
         assert [row.mu for row in rows] == [0.0, 0.5]
@@ -414,17 +416,18 @@ class TestBlasThreads:
             _set_blas_threads(caller)
         assert len(designs) == 1
 
-    def test_pool_workers_run_one_thread(self):
+    def test_pool_workers_run_one_thread(self, force_pool, pools):
         from nlsparse.simulate import _map_trials
 
         _needs_openblas()
         assert _map_trials(_set_blas_threads, [1] * 4, threads=2) == [1] * 4
+        assert pools == [2]
 
-    def test_sweep_csv_independent_of_workers_and_caller_blas_threads(self):
+    def test_sweep_csv_independent_of_workers_and_caller_blas_threads(self, force_pool):
         # at d = 128, n = 1600 OpenBLAS threads the matrix products, and the
         # thread count changes the last bits of the fits
         caller = _needs_openblas()
-        configs = [SimConfig(n=1600, d=128, s_star=5, noise_sd=1.0, seed=7, trials=2)]
+        configs = [SimConfig(n=1600, d=128, s_star=5, noise_sd=1.0, seed=7, trials=3)]
         texts = set()
         try:
             for caller_threads in (1, 2):
@@ -435,9 +438,9 @@ class TestBlasThreads:
             _set_blas_threads(caller)
         assert len(texts) == 1
 
-    def test_baseline_csv_independent_of_workers_and_caller_blas_threads(self, pool_at_any_size):
+    def test_baseline_csv_independent_of_workers_and_caller_blas_threads(self, force_pool):
         caller = _needs_openblas()
-        configs = [SimConfig(n=200, d=128, s_star=8, noise_sd=1.0, seed=7, trials=2)]
+        configs = [SimConfig(n=200, d=128, s_star=8, noise_sd=1.0, seed=7, trials=3)]
         texts = set()
         try:
             for caller_threads in (1, 2):
@@ -476,11 +479,27 @@ def no_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
-_SMALL_EXPERIMENTS = {
+@pytest.fixture
+def trial_seconds(monkeypatch):
+    """``set(seconds)``: every trial takes that long on the clock that prices
+    the pool decision."""
+    import nlsparse.simulate as sim
+
+    clock = {"now": 0.0, "step": 0.0}
+
+    def perf_counter():  # called once before and once after each trial
+        clock["now"] += clock["step"]
+        return clock["now"]
+
+    monkeypatch.setattr(sim, "time", SimpleNamespace(perf_counter=perf_counter))
+    return lambda seconds: clock.update(step=seconds)
+
+
+_SMALL_EXPERIMENTS = {  # 6 jobs each
     "sweep": lambda threads: sweep_csv_text(run_estimation_sweep(
         [SimConfig(n=n, d=16, s_star=2, seed=3, trials=3) for n in (40, 80)], threads=threads)),
     "baseline": lambda threads: baseline_csv_text(run_baseline_comparison(
-        [SimConfig(n=n, d=12, s_star=2, seed=33, trials=2) for n in (40, 60)], threads=threads)),
+        [SimConfig(n=n, d=12, s_star=2, seed=33, trials=3) for n in (40, 60)], threads=threads)),
     "table": lambda threads: inference_csv_text(run_inference_table(
         SimConfig(n=60, d=12, s_star=3, seed=43, trials=3), mu_grid=[0.0, 0.5], threads=threads)),
 }
@@ -488,52 +507,75 @@ _SMALL_EXPERIMENTS = {
 
 class TestSerialThreshold:
     @pytest.mark.parametrize("threads", [2, None])
-    def test_small_experiment_starts_no_pool(self, monkeypatch, no_pool, threads):
-        from nlsparse.simulate import THREADS_ENV_VAR, _SERIAL_CELLS
+    def test_small_experiment_starts_no_pool(self, monkeypatch, no_pool, trial_seconds, threads):
+        from nlsparse.simulate import THREADS_ENV_VAR
 
         monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        # the benchmark's table_lp command: 2 mu x 2 trials x n * d = 51,200 cells
+        # the benchmark's table_lp command at 20 ms a trial: 3 trials left
+        # after the first, which 2 workers would cut by 30 ms
+        trial_seconds(0.02)
         cfg = SimConfig(n=200, d=64, s_star=10, seed=7, trials=2)
-        assert 2 * 2 * cfg.n * cfg.d <= _SERIAL_CELLS
         rows = run_inference_table(cfg, mu_grid=[0.0, 0.5], rho_scale=2.0, threads=threads)
         assert [row.trials for row in rows] == [2, 2]
 
     @pytest.mark.parametrize("threads", [2, None])
-    def test_large_experiment_starts_a_pool(self, monkeypatch, pools, threads):
-        from nlsparse.simulate import THREADS_ENV_VAR, _SERIAL_CELLS
+    def test_large_experiment_starts_a_pool(self, monkeypatch, pools, trial_seconds, threads):
+        from nlsparse.simulate import THREADS_ENV_VAR
 
         monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        # two trials of exactly the bound each: twice the bound in all
-        configs = [SimConfig(n=_SERIAL_CELLS // 64, d=64, s_star=2, seed=5, trials=2)]
+        trial_seconds(0.2)  # 2 x 0.2 s left after the first trial, 0.2 s saved
+        configs = [SimConfig(n=40, d=8, s_star=2, seed=5, trials=3)]
         rows = run_estimation_sweep(configs, threads=threads)
         assert pools == [2]
         assert rows[0].failures == 0
 
-    def test_bound_is_inclusive(self, monkeypatch, pools):
+    def test_bound_is_inclusive(self, pools, trial_seconds):
+        from nlsparse.simulate import _POOL_START_S, _map_trials
+
+        # after the first trial 2 are left, and 2 workers would save one trial's time
+        trial_seconds(_POOL_START_S)
+        assert _map_trials(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert pools == []
+        trial_seconds(_POOL_START_S * 1.01)
+        assert _map_trials(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert pools == [2]
+
+    def test_projection_weighs_jobs_by_design_cells(self, pools, trial_seconds):
         import nlsparse.simulate as sim
 
-        monkeypatch.setattr(sim, "_SERIAL_CELLS", 120)
-        assert sim._map_trials(abs, [-1, -2, -3], 2, cells=120) == [1, 2, 3]
+        # the two jobs left after the first have 8 times its cells each, so 2
+        # workers would save 8 times the first trial's time
+        cheap, costly = (SimConfig(n=n, d=8, s_star=2) for n in (10, 80))
+        jobs = [(cheap, -1), (costly, -2), (costly, -3)]
+        trial_seconds(sim._POOL_START_S / 8 * 0.99)
+        assert sim._map_trials(itemgetter(1), jobs, 2) == [-1, -2, -3]
         assert pools == []
-        assert sim._map_trials(abs, [-1, -2, -3], 2, cells=121) == [1, 2, 3]
+        trial_seconds(sim._POOL_START_S / 8 * 1.01)
+        assert sim._map_trials(itemgetter(1), jobs, 2) == [-1, -2, -3]
         assert pools == [2]
 
-    def test_threads_cap_the_workers(self, pools):
+    def test_threads_cap_the_workers(self, force_pool, pools):
         from nlsparse.simulate import _map_trials
 
-        assert _map_trials(abs, [-1, -2], threads=8) == [1, 2]
+        assert _map_trials(abs, [-1, -2, -3], threads=8) == [1, 2, 3]
         assert pools == [2]
+
+    def test_last_job_runs_in_process(self, force_pool, no_pool):
+        from nlsparse.simulate import _map_trials
+
+        assert _map_trials(abs, [-1, -2], threads=2) == [1, 2]
 
     @pytest.mark.parametrize("experiment", sorted(_SMALL_EXPERIMENTS))
     def test_csv_bytes_equal_in_process_and_on_a_pool(self, monkeypatch, pools, experiment):
         import nlsparse.simulate as sim
 
-        in_process = _SMALL_EXPERIMENTS[experiment](2)
+        in_process = _SMALL_EXPERIMENTS[experiment](1)
         assert pools == []
-        monkeypatch.setattr(sim, "_SERIAL_CELLS", 0)
-        on_pool = _SMALL_EXPERIMENTS[experiment](2)
-        assert pools == [2]
-        assert on_pool == in_process
+        for takeover in (1, 2, 3):  # the pool takes over after this many trials
+            decisions = iter(range(1, takeover + 1))
+            monkeypatch.setattr(sim, "_pool_pays", lambda *args: next(decisions) == takeover)
+            assert _SMALL_EXPERIMENTS[experiment](2) == in_process, takeover
+            assert pools == [2] * takeover
 
     def test_serial_run_imports_no_pool_machinery(self, tmp_path):
         import os
