@@ -24,9 +24,8 @@ _EXPORTS = {
     "model": "Dataset FitConfig LinkFunction SparsityGroundTruth builtin_link invert_link "
              "load_dataset_csv",
     "simulate": "BaselineRow ConstantBeta InferenceRow SimConfig SweepRow TrialInference "
-                "UniformBeta baseline_csv_text generate inference_csv_text make_beta_star "
-                "run_baseline_comparison run_estimation_sweep run_inference_table "
-                "run_inference_trials sample_design sweep_csv_text",
+                "UniformBeta csv_text generate make_beta_star run_baseline_comparison "
+                "run_estimation_sweep run_inference_table run_inference_trials sample_design",
     "solver": "FitResult acceptance_check bb_stepsize fit kkt_residual soft_threshold",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -36,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p):
     p.add_argument("--config", help="JSON file with defaults for any option")
-    p.add_argument("--output", default="-", help="output path, or - for stdout")
+    p.add_argument("--output", help="output path, or - for stdout (default stdout)")
 
 
 def _add_fit_options(p):
@@ -127,8 +127,7 @@ def _build_parser():
                        help="null-false coordinate for the table (default 1)")
     p_sim.add_argument("--threads", type=int,
                        help="at most this many worker processes, each trial on one BLAS thread; "
-                            "a small experiment runs in-process "
-                            f"(default ${sim.THREADS_ENV_VAR} or the usable CPU count)")
+                            "a small experiment runs in-process (default the usable CPU count)")
     _add_common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -152,10 +151,11 @@ def _build_parser():
     return parser
 
 
-def _load_config(args):
-    path = getattr(args, "config", None)
+def _apply_config(args):
+    """Set every option of ``args`` that is still None from the --config file."""
+    path = args.config
     if not path:
-        return {}
+        return
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -165,32 +165,32 @@ def _load_config(args):
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError(f"config {path} must hold a JSON object")
-    return cfg
+    for key, value in cfg.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
+    if not isinstance(args.output, (str, type(None))):
+        raise InputError(f"config {path}: output must be a path, got {args.output!r}")
 
 
-def _resolve(args, cfg, key, default=None):
+def _resolve(args, key, default=None):
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in cfg:
-        return cfg[key]
-    return default
+    return default if value is None else value
 
 
-def _user_options(args, cfg, config_type, skip=(), keys=None):
+def _user_options(args, config_type, skip=(), keys=None):
     """Fields of ``config_type`` set by flag or in --config; the rest keep the
     dataclass defaults. ``keys`` maps a field to its option name where they
     differ, ``skip`` lists fields the caller resolves."""
     options = {}
     for field in dataclasses.fields(config_type):
-        value = _resolve(args, cfg, (keys or {}).get(field.name, field.name))
+        value = _resolve(args, (keys or {}).get(field.name, field.name))
         if field.name not in skip and value is not None:
             options[field.name] = float(value) if isinstance(field.default, float) else value
     return options
 
 
-def _emit(text: str, output: str):
-    if output == "-":
+def _emit(text: str, output):
+    if output in (None, "-"):
         sys.stdout.write(text)
         return
     try:
@@ -215,32 +215,31 @@ def _doc(pairs, beta=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_rule(args, cfg, data, key, flag, default_scale=None):
+def _resolve_rule(args, data, key, flag, default_scale=None):
     """The value set by --<flag>, else the rate rule at --<flag>-rule and --sigma."""
-    value = _resolve(args, cfg, key)
+    value = _resolve(args, key)
     if value is not None:
         return float(value)
-    scale = _resolve(args, cfg, f"{flag}_rule", default_scale)
-    sigma = _resolve(args, cfg, "sigma")
+    scale = _resolve(args, f"{flag}_rule", default_scale)
+    sigma = _resolve(args, "sigma")
     if scale is None or sigma is None:
         raise InputError(f"specify --{flag}, or --{flag}-rule together with --sigma")
     return sim.rate_rule(float(scale), float(sigma), data.n, data.d)
 
 
-def _fit_from_args(args, cfg):
-    data_path = _resolve(args, cfg, "data")
+def _fit_from_args(args):
+    data_path = _resolve(args, "data")
     if not data_path:
         raise InputError("--data is required")
     data = load_dataset_csv(data_path)
-    link = builtin_link(_resolve(args, cfg, "link", "paper"))
-    lam = _resolve_rule(args, cfg, data, "lam", "lambda")
-    config = FitConfig(lam=lam, **_user_options(args, cfg, FitConfig, skip=("lam", "init")))
+    link = builtin_link(_resolve(args, "link", "paper"))
+    lam = _resolve_rule(args, data, "lam", "lambda")
+    config = FitConfig(lam=lam, **_user_options(args, FitConfig, skip=("lam", "init")))
     return data, link, lam, fit(link, data, config)
 
 
 def _cmd_fit(args) -> int:
-    cfg = _load_config(args)
-    data, link, lam, result = _fit_from_args(args, cfg)
+    data, link, lam, result = _fit_from_args(args)
     doc = _doc([
         ("command", "fit"),
         ("link", link.name),
@@ -256,11 +255,11 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _inference_config(args, cfg, data):
+def _inference_config(args, data):
     return InferenceConfig(
-        coordinate=int(_resolve(args, cfg, "coordinate")),
-        rho=_resolve_rule(args, cfg, data, "rho", "rho", sim.RHO_SCALE),
-        **_user_options(args, cfg, InferenceConfig, skip=("coordinate", "rho"),
+        coordinate=int(_resolve(args, "coordinate")),
+        rho=_resolve_rule(args, data, "rho", "rho", sim.RHO_SCALE),
+        **_user_options(args, InferenceConfig, skip=("coordinate", "rho"),
                         keys={"significance": "delta"}),
     )
 
@@ -274,9 +273,8 @@ def _dantzig_pairs(dres):
 
 
 def _cmd_test(args) -> int:
-    cfg = _load_config(args)
-    data, link, lam, result = _fit_from_args(args, cfg)
-    inf_cfg = _inference_config(args, cfg, data)
+    data, link, lam, result = _fit_from_args(args)
+    inf_cfg = _inference_config(args, data)
     pairs = [
         ("command", "test"),
         ("method", args.method),
@@ -309,9 +307,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_ci(args) -> int:
-    cfg = _load_config(args)
-    data, link, lam, result = _fit_from_args(args, cfg)
-    inf_cfg = _inference_config(args, cfg, data)
+    data, link, lam, result = _fit_from_args(args)
+    inf_cfg = _inference_config(args, data)
     res = wald_estimate(link, data, result, inf_cfg)
     _emit(_doc([
         ("command", "ci"),
@@ -356,27 +353,27 @@ def _parse_beta_mode(raw):
 
 def _cmd_simulate(args) -> int:
     # an experiment can run for hours: reject an output it cannot write before it starts
-    if args.output != "-" and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+    output = args.output
+    if output not in (None, "-") and not os.path.isdir(os.path.dirname(os.path.abspath(output))):
         raise InputError(f"cannot write {args.output}: its directory does not exist")
-    cfg = _load_config(args)
-    base = _user_options(args, cfg, sim.SimConfig, skip=("n", "d", "s_star", "trials"),
+    base = _user_options(args, sim.SimConfig, skip=("n", "d", "s_star", "trials"),
                          keys={"link_name": "link", "noise_sd": "sigma"})
     if "beta_mode" in base:
         base["beta_mode"] = _parse_beta_mode(base["beta_mode"])
-    base["trials"] = int(_resolve(args, cfg, "trials", 100))
-    n = _resolve(args, cfg, "n")
-    d = _resolve(args, cfg, "d")
-    s_star = _resolve(args, cfg, "s_star")
-    lambda_scale = float(_resolve(args, cfg, "lambda_rule", sim.LAMBDA_SCALE))
-    threads = _resolve(args, cfg, "threads")
+    base["trials"] = int(_resolve(args, "trials", 100))
+    n = _resolve(args, "n")
+    d = _resolve(args, "d")
+    s_star = _resolve(args, "s_star")
+    lambda_scale = float(_resolve(args, "lambda_rule", sim.LAMBDA_SCALE))
+    threads = _resolve(args, "threads")
     threads = int(threads) if threads is not None else None
 
     if args.experiment in ("sweep", "baseline"):
-        n_grid = _parse_grid(_resolve(args, cfg, "n_grid"), int) or (
+        n_grid = _parse_grid(_resolve(args, "n_grid"), int) or (
             [int(n)] if n is not None else None)
-        d_grid = _parse_grid(_resolve(args, cfg, "d_grid"), int) or (
+        d_grid = _parse_grid(_resolve(args, "d_grid"), int) or (
             [int(d)] if d is not None else None)
-        s_grid = _parse_grid(_resolve(args, cfg, "s_star_grid"), int) or (
+        s_grid = _parse_grid(_resolve(args, "s_star_grid"), int) or (
             [int(s_star)] if s_star is not None else None)
         if n_grid is None or d_grid is None or s_grid is None:
             raise InputError(
@@ -388,28 +385,28 @@ def _cmd_simulate(args) -> int:
         ]
         if args.experiment == "sweep":
             rows = sim.run_estimation_sweep(configs, lambda_scale, threads=threads)
-            text = sim.sweep_csv_text(rows)
+            text = sim.csv_text(rows, sim.SweepRow)
         else:
             rows = sim.run_baseline_comparison(configs, lambda_scale, threads=threads)
-            text = sim.baseline_csv_text(rows)
+            text = sim.csv_text(rows, sim.BaselineRow)
     else:
         if n is None or d is None or s_star is None:
             raise InputError("simulate --experiment table needs --n, --d and --s-star")
         config = sim.SimConfig(n=int(n), d=int(d), s_star=int(s_star), **base)
-        mu_grid = _parse_grid(_resolve(args, cfg, "mu_grid"), float)
-        type1 = _resolve(args, cfg, "type1_coordinate")
+        mu_grid = _parse_grid(_resolve(args, "mu_grid"), float)
+        type1 = _resolve(args, "type1_coordinate")
         rows = sim.run_inference_table(
             config,
             mu_grid=mu_grid,
             type1_coordinate=int(type1) if type1 is not None else None,
-            power_coordinate=int(_resolve(args, cfg, "power_coordinate", 1)),
+            power_coordinate=int(_resolve(args, "power_coordinate", 1)),
             lambda_scale=lambda_scale,
-            rho_scale=float(_resolve(args, cfg, "rho_rule", sim.RHO_SCALE)),
-            significance=float(_resolve(args, cfg, "delta", InferenceConfig.significance)),
+            rho_scale=float(_resolve(args, "rho_rule", sim.RHO_SCALE)),
+            significance=float(_resolve(args, "delta", InferenceConfig.significance)),
             threads=threads,
         )
-        text = sim.inference_csv_text(rows)
-    _emit(text, args.output)
+        text = sim.csv_text(rows, sim.InferenceRow)
+    _emit(text, output)
     return 0
 
 
@@ -424,16 +421,15 @@ def _load_matrix_csv(path):
 
 
 def _cmd_check(args) -> int:
-    cfg = _load_config(args)
     if args.kind == "gradients":
-        link = builtin_link(_resolve(args, cfg, "link", "paper"))
-        seed = int(_resolve(args, cfg, "seed", 0))
+        link = builtin_link(_resolve(args, "link", "paper"))
+        seed = int(_resolve(args, "seed", 0))
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
         report = check_gradients(
             link,
-            n=int(_resolve(args, cfg, "n", 10)),
-            d=int(_resolve(args, cfg, "d", 5)),
-            trials=int(_resolve(args, cfg, "trials", 50)),
+            n=int(_resolve(args, "n", 10)),
+            d=int(_resolve(args, "d", 5)),
+            trials=int(_resolve(args, "trials", 50)),
             rng=rng,
         )
         verdict = "PASS" if report.passed else "FAIL"
@@ -444,18 +440,18 @@ def _cmd_check(args) -> int:
         )
         return 0 if report.passed else 2
 
-    matrix_path = _resolve(args, cfg, "matrix")
+    matrix_path = _resolve(args, "matrix")
     if matrix_path:
         M = _load_matrix_csv(matrix_path)
     else:
-        d = _resolve(args, cfg, "d")
+        d = _resolve(args, "d")
         if d is None:
             raise InputError("sparse-eigen needs --matrix or --d with --toeplitz-rho")
-        rho = float(_resolve(args, cfg, "toeplitz_rho", sim.SimConfig.toeplitz_rho))
+        rho = float(_resolve(args, "toeplitz_rho", sim.SimConfig.toeplitz_rho))
         M = sim.toeplitz_covariance(int(d), rho)
-    s_star = _resolve(args, cfg, "s_star")
-    k_star = _resolve(args, cfg, "k_star")
-    k = _resolve(args, cfg, "k")
+    s_star = _resolve(args, "s_star")
+    k_star = _resolve(args, "k_star")
+    k = _resolve(args, "k")
     if k is None:
         k = k_star if k_star is not None else M.shape[0]
     report = sparse_eigen_report(
@@ -482,6 +478,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _apply_config(args)
         return args.func(args)
     except InputError as exc:
         print(f"nlsparse: error: {exc}", file=sys.stderr)

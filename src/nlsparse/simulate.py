@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InputError, NlsparseError
 from .model import Dataset, FitConfig, SparsityGroundTruth, builtin_link, invert_link
-# score_test and wald_estimate are unused here, but perfbench/spans.py times them (ROADMAP item 4).
+# score_test and wald_estimate are unused here, but perfbench/spans.py times them (ROADMAP item 2).
 from .inference import InferenceConfig, _score_and_wald, score_test, wald_estimate  # noqa: F401
 from .solver import _lasso_path, fit
 
@@ -50,17 +50,13 @@ __all__ = [
     "run_baseline_comparison",
     "run_inference_trials",
     "run_inference_table",
-    "sweep_csv_text",
-    "baseline_csv_text",
-    "inference_csv_text",
+    "csv_text",
     "default_threads",
 ]
 
 _STREAM_DESIGN = 0
 _STREAM_BETA = 1
 _STREAM_NOISE = 2
-
-THREADS_ENV_VAR = "NLSPARSE_THREADS"
 
 # Default constants C of the lambda and rho rules (see rate_rule).
 LAMBDA_SCALE = 3.0
@@ -199,14 +195,8 @@ def generate(config: SimConfig, trial: int):
 
 
 def default_threads() -> int:
-    """Worker count for trial parallelism: NLSPARSE_THREADS, or the number of
-    CPUs this process may run on (the CPU count where that is unknown)."""
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
+    """Worker count for trial parallelism: the number of CPUs this process may
+    run on (the CPU count where that is unknown)."""
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1
@@ -318,7 +308,8 @@ def _map_trials(worker, jobs, threads):
 
 
 # ---------------------------------------------------------------------------
-# Estimation-error sweep
+# Estimation error: the rate sweep and the comparison against the
+# inverted-data linear baseline
 
 
 @dataclass(frozen=True)
@@ -333,70 +324,6 @@ class SweepRow:
     sd_l1: float
     trials: int
     failures: int
-
-
-def _errors(estimate, truth):
-    err = estimate - truth.beta_star
-    return float(np.linalg.norm(err)), float(np.abs(err).sum())
-
-
-def _sweep_trial(job):
-    """The (l2, l1) error pair of one trial's fit, or the failure message."""
-    config, trial, fit_config = job
-    data, truth = generate(config, trial)
-    try:
-        result = fit(builtin_link(config.link_name), data, fit_config)
-    except NlsparseError as exc:
-        return str(exc)
-    return _errors(result.beta_hat, truth)
-
-
-def _mean_sd(values):
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return np.nan, np.nan
-    mean = float(values.mean())
-    sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
-    return mean, sd
-
-
-def run_estimation_sweep(configs: Sequence[SimConfig], lambda_scale: float = LAMBDA_SCALE,
-                         lam: Optional[float] = None, threads: Optional[int] = None):
-    """Fit every trial of every config; summarize l2/l1 errors per grid point.
-
-    ``lam`` overrides the default rule lambda = lambda_scale * sigma *
-    sqrt(log d / n); an invalid value raises :class:`InputError` before any
-    trial runs. Individual trial failures are counted, not fatal.
-    """
-    jobs = []
-    for config in configs:
-        fit_config = FitConfig(lam=lam if lam is not None else config.lambda_rule(lambda_scale))
-        jobs += [(config, trial, fit_config) for trial in range(config.trials)]
-    results = iter(_map_trials(_sweep_trial, jobs, threads))
-    rows = []
-    for config in configs:
-        records = list(islice(results, config.trials))
-        good = [r for r in records if not isinstance(r, str)]
-        l2, l1 = zip(*good) if good else ((), ())
-        mean_l2, sd_l2 = _mean_sd(l2)
-        mean_l1, sd_l1 = _mean_sd(l1)
-        rows.append(SweepRow(
-            d=config.d,
-            s_star=config.s_star,
-            n=config.n,
-            effective_sample=config.effective_sample,
-            mean_l2=mean_l2,
-            sd_l2=sd_l2,
-            mean_l1=mean_l1,
-            sd_l1=sd_l1,
-            trials=config.trials,
-            failures=len(records) - len(good),
-        ))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Comparison against the inverted-data linear baseline
 
 
 @dataclass(frozen=True)
@@ -415,6 +342,11 @@ class BaselineRow:
     base_sd_l1: float
     trials: int
     failures: int
+
+
+def _errors(estimate, truth):
+    err = estimate - truth.beta_star
+    return float(np.linalg.norm(err)), float(np.abs(err).sum())
 
 
 def _cv_lasso(data: Dataset, folds: int, grid_size: int):
@@ -446,17 +378,69 @@ def _cv_lasso(data: Dataset, folds: int, grid_size: int):
     return _lasso_path(data.design, data.response, grid[:best + 1])[best], float(grid[best])
 
 
-def _baseline_trial(job):
-    config, trial, fit_config, folds, grid_size = job
+def _estimation_trial(job):
+    """The (l2, l1) errors of one trial's fit, followed by those of the lasso
+    on link-inverted responses when ``cv = (folds, grid_size)`` is set; or the
+    first failure's message."""
+    config, trial, fit_config, cv = job
     data, truth = generate(config, trial)
     link = builtin_link(config.link_name)
     try:
-        proposed = fit(link, data, fit_config).beta_hat
-        inverted = Dataset(design=data.design, response=invert_link(link, data.response))
-        baseline, _ = _cv_lasso(inverted, folds, grid_size)
+        estimates = [fit(link, data, fit_config).beta_hat]
+        if cv is not None:
+            inverted = Dataset(design=data.design, response=invert_link(link, data.response))
+            estimates.append(_cv_lasso(inverted, *cv)[0])
     except NlsparseError as exc:
-        return trial, None, None, str(exc)
-    return trial, _errors(proposed, truth), _errors(baseline, truth), None
+        return str(exc)
+    return [_errors(estimate, truth) for estimate in estimates]
+
+
+def _mean_sd(values):
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return np.nan, np.nan
+    mean = float(values.mean())
+    sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    return mean, sd
+
+
+def _estimation_rows(configs, lambda_scale, cv, threads):
+    """One row per config: mean and sd of each estimator's errors over the
+    trials where nothing failed (the baseline's under ``base_`` when ``cv`` is
+    set), and the count of the others in ``failures``."""
+    jobs = []
+    for config in configs:
+        fit_config = FitConfig(lam=config.lambda_rule(lambda_scale))
+        jobs += [(config, trial, fit_config, cv) for trial in range(config.trials)]
+    results = iter(_map_trials(_estimation_trial, jobs, threads))
+    row_type, prefixes = (SweepRow, ("",)) if cv is None else (BaselineRow, ("", "base_"))
+    rows = []
+    for config in configs:
+        records = list(islice(results, config.trials))
+        good = [r for r in records if not isinstance(r, str)]
+        columns = {}
+        for side, prefix in enumerate(prefixes):
+            for norm, name in enumerate(("l2", "l1")):
+                columns[f"{prefix}mean_{name}"], columns[f"{prefix}sd_{name}"] = _mean_sd(
+                    [errors[side][norm] for errors in good])
+        rows.append(row_type(
+            d=config.d,
+            s_star=config.s_star,
+            n=config.n,
+            effective_sample=config.effective_sample,
+            trials=config.trials,
+            failures=len(records) - len(good),
+            **columns,
+        ))
+    return rows
+
+
+def run_estimation_sweep(configs: Sequence[SimConfig], lambda_scale: float = LAMBDA_SCALE,
+                         threads: Optional[int] = None):
+    """Fit every trial of every config at lambda = lambda_scale * sigma *
+    sqrt(log d / n); summarize l2/l1 errors per grid point. Individual trial
+    failures are counted, not fatal."""
+    return _estimation_rows(configs, lambda_scale, None, threads)
 
 
 def run_baseline_comparison(configs: Sequence[SimConfig], lambda_scale: float = LAMBDA_SCALE,
@@ -473,41 +457,11 @@ def run_baseline_comparison(configs: Sequence[SimConfig], lambda_scale: float = 
     """
     if cv_grid_size < 1:
         raise InputError(f"cv_grid_size must be >= 1, got {cv_grid_size}")
-    jobs = []
     for config in configs:
         if not 2 <= cv_folds <= config.n:
             raise InputError(f"cross-validation needs 2 <= cv_folds <= n, "
                              f"got cv_folds={cv_folds} at n={config.n}")
-        fit_config = FitConfig(lam=config.lambda_rule(lambda_scale))
-        jobs += [(config, t, fit_config, cv_folds, cv_grid_size) for t in range(config.trials)]
-    results = iter(_map_trials(_baseline_trial, jobs, threads))
-    rows = []
-    for config in configs:
-        outcomes = list(islice(results, config.trials))
-        good = [(p, b) for (_, p, b, failure) in outcomes if failure is None]
-        p_l2, p_l1 = zip(*[p for p, _ in good]) if good else ((), ())
-        b_l2, b_l1 = zip(*[b for _, b in good]) if good else ((), ())
-        mean_l2, sd_l2 = _mean_sd(p_l2)
-        mean_l1, sd_l1 = _mean_sd(p_l1)
-        base_mean_l2, base_sd_l2 = _mean_sd(b_l2)
-        base_mean_l1, base_sd_l1 = _mean_sd(b_l1)
-        rows.append(BaselineRow(
-            d=config.d,
-            s_star=config.s_star,
-            n=config.n,
-            effective_sample=config.effective_sample,
-            mean_l2=mean_l2,
-            sd_l2=sd_l2,
-            mean_l1=mean_l1,
-            sd_l1=sd_l1,
-            base_mean_l2=base_mean_l2,
-            base_sd_l2=base_sd_l2,
-            base_mean_l1=base_mean_l1,
-            base_sd_l1=base_sd_l1,
-            trials=config.trials,
-            failures=len(outcomes) - len(good),
-        ))
-    return rows
+    return _estimation_rows(configs, lambda_scale, (cv_folds, cv_grid_size), threads)
 
 
 # ---------------------------------------------------------------------------
@@ -669,21 +623,12 @@ def _fmt(value) -> str:
     return f"{float(value):.6g}"
 
 
-def _csv_text(rows, row_type) -> str:
+def csv_text(rows: Sequence, row_type: type) -> str:
+    """The CSV document of ``rows``, one column per field of the dataclass
+    ``row_type`` in declaration order, under a header of the field names."""
     names = [field.name for field in fields(row_type)]
     lines = [",".join(names)]
     for row in rows:
         lines.append(",".join(_fmt(getattr(row, name)) for name in names))
     return "\n".join(lines) + "\n"
 
-
-def sweep_csv_text(rows: Sequence[SweepRow]) -> str:
-    return _csv_text(rows, SweepRow)
-
-
-def baseline_csv_text(rows: Sequence[BaselineRow]) -> str:
-    return _csv_text(rows, BaselineRow)
-
-
-def inference_csv_text(rows: Sequence[InferenceRow]) -> str:
-    return _csv_text(rows, InferenceRow)

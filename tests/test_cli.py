@@ -301,6 +301,34 @@ class TestSimulateCommand:
         assert code == 1
         assert err.startswith("nlsparse: error: cannot write") and "Traceback" not in err
 
+    def test_config_file_sets_the_output(self, capsys, monkeypatch, tmp_path):
+        import nlsparse.simulate as sim
+
+        out = tmp_path / "t.csv"
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"n": 40, "d": 8, "s_star": 2, "trials": 2, "mu_grid": [0],
+                                   "threads": 1, "output": str(out)}))
+        args = ["simulate", "--experiment", "table", "--config", str(cfg)]
+        code, stdout, _ = run_cli(capsys, *args)
+        assert (code, stdout) == (0, "")
+        text = out.read_text()
+        assert text.startswith("mu,")
+        assert run_cli(capsys, *args, "--output", "-")[:2] == (0, text)
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sim, "_map_trials", no_trials)
+        cfg.write_text(json.dumps({"n": 40, "d": 8, "s_star": 2,
+                                   "output": str(tmp_path / "missing" / "t.csv")}))
+        code, _, err = run_cli(capsys, *args)
+        assert code == 1
+        assert err.startswith("nlsparse: error: cannot write")
+        cfg.write_text(json.dumps({"n": 40, "d": 8, "s_star": 2, "output": 5}))
+        code, _, err = run_cli(capsys, *args)
+        assert code == 1
+        assert err.startswith("nlsparse: error: config") and "output" in err
+
     def test_missing_dimensions_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--experiment", "sweep")
         assert code == 1

@@ -1,18 +1,30 @@
-from dataclasses import replace
+import os
+from dataclasses import fields, replace
 from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nlsparse import Dataset, FitConfig, InputError, builtin_link, fit, invert_link, kkt_residual
+from nlsparse import (
+    Dataset,
+    FitConfig,
+    InputError,
+    NumericalError,
+    builtin_link,
+    fit,
+    invert_link,
+    kkt_residual,
+)
 from nlsparse.simulate import (
+    BaselineRow,
     ConstantBeta,
+    InferenceRow,
     SimConfig,
+    SweepRow,
     UniformBeta,
-    baseline_csv_text,
+    csv_text,
     generate,
-    inference_csv_text,
     make_beta_star,
     rate_rule,
     run_baseline_comparison,
@@ -20,7 +32,6 @@ from nlsparse.simulate import (
     run_inference_table,
     run_inference_trials,
     sample_design,
-    sweep_csv_text,
     toeplitz_covariance,
     _cv_lasso,
     _set_blas_threads,
@@ -162,24 +173,12 @@ class TestEstimationSweep:
 
     def test_csv_shape_and_determinism(self, force_pool):
         configs = [SimConfig(n=60, d=16, s_star=2, noise_sd=1.0, seed=3, trials=4)]
-        text1 = sweep_csv_text(run_estimation_sweep(configs, threads=1))
-        text2 = sweep_csv_text(run_estimation_sweep(configs, threads=2))
+        text1 = csv_text(run_estimation_sweep(configs, threads=1), SweepRow)
+        text2 = csv_text(run_estimation_sweep(configs, threads=2), SweepRow)
         assert text1 == text2
         header = text1.splitlines()[0]
         assert header == "d,s_star,n,effective_sample,mean_l2,sd_l2,mean_l1,sd_l1,trials,failures"
         assert len(text1.splitlines()) == 2
-
-    @pytest.mark.parametrize("lam", [-1.0, float("nan")])
-    def test_lambda_validated_before_any_trial(self, monkeypatch, lam):
-        import nlsparse.simulate as sim
-
-        def no_trials(*args):
-            raise AssertionError("trials ran before lambda was validated")
-
-        monkeypatch.setattr(sim, "_map_trials", no_trials)
-        configs = [SimConfig(n=30, d=8, s_star=2, seed=1, trials=2)]
-        with pytest.raises(InputError, match="lam"):
-            run_estimation_sweep(configs, lam=lam)
 
 
 class TestBaselineComparison:
@@ -200,7 +199,7 @@ class TestBaselineComparison:
 
     def test_csv_header(self):
         configs = [SimConfig(n=60, d=12, s_star=2, noise_sd=1.0, seed=33, trials=2)]
-        text = baseline_csv_text(run_baseline_comparison(configs, threads=1))
+        text = csv_text(run_baseline_comparison(configs, threads=1), BaselineRow)
         assert text.splitlines()[0] == (
             "d,s_star,n,effective_sample,mean_l2,sd_l2,mean_l1,sd_l1,"
             "base_mean_l2,base_sd_l2,base_mean_l1,base_sd_l1,trials,failures"
@@ -258,6 +257,88 @@ class TestBaselineComparison:
         assert row.failures == 0
 
 
+@pytest.fixture
+def fail_in(monkeypatch):
+    """``fail_in(name, trials)``: ``nlsparse.simulate.<name>`` raises
+    NumericalError while a trial in ``trials`` runs. Run the experiment on one
+    thread, which keeps every trial in this process."""
+    import nlsparse.simulate as sim
+
+    running = {}
+    real_generate = sim.generate
+
+    def generate(config, trial):
+        running["trial"] = trial
+        return real_generate(config, trial)
+
+    def fail(name, trials):
+        real = getattr(sim, name)
+
+        def failing(*args, **kwargs):
+            if running["trial"] in trials:
+                raise NumericalError(f"{name} failed in trial {running['trial']}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, name, failing)
+
+    monkeypatch.setattr(sim, "generate", generate)
+    return fail
+
+
+_FAILING = SimConfig(n=40, d=8, s_star=2, seed=9, trials=4)
+_CV = dict(cv_folds=2, cv_grid_size=5)
+
+
+def _trial_errors(trial, baseline=False):
+    """The (l2, l1) errors of one trial of _FAILING: its fit, or with
+    ``baseline`` its cross-validated lasso on link-inverted responses."""
+    data, truth = generate(_FAILING, trial)
+    link = builtin_link(_FAILING.link_name)
+    if baseline:
+        inverted = Dataset(design=data.design, response=invert_link(link, data.response))
+        estimate = _cv_lasso(inverted, _CV["cv_folds"], _CV["cv_grid_size"])[0]
+    else:
+        estimate = fit(link, data, FitConfig(lam=_FAILING.lambda_rule())).beta_hat
+    err = estimate - truth.beta_star
+    return np.linalg.norm(err), np.abs(err).sum()
+
+
+def _summary(errors, prefix=""):
+    l2, l1 = zip(*errors)
+    return {f"{prefix}mean_l2": np.mean(l2), f"{prefix}sd_l2": np.std(l2, ddof=1),
+            f"{prefix}mean_l1": np.mean(l1), f"{prefix}sd_l1": np.std(l1, ddof=1)}
+
+
+class TestFailureAccounting:
+    def test_sweep_summarizes_the_trials_that_did_not_fail(self, fail_in):
+        fail_in("fit", {1, 2})
+        row = run_estimation_sweep([_FAILING], threads=1)[0]
+        assert (row.trials, row.failures) == (4, 2)
+        for name, value in _summary([_trial_errors(t) for t in (0, 3)]).items():
+            assert getattr(row, name) == pytest.approx(value, rel=1e-12), name
+
+    def test_baseline_failure_drops_the_whole_pair(self, fail_in):
+        # trial 1's fit succeeds, but its lasso fails: its fit errors go too
+        fail_in("invert_link", {1})
+        fail_in("fit", {2})
+        row = run_baseline_comparison([_FAILING], threads=1, **_CV)[0]
+        assert (row.trials, row.failures) == (4, 2)
+        expected = {**_summary([_trial_errors(t) for t in (0, 3)]),
+                    **_summary([_trial_errors(t, baseline=True) for t in (0, 3)], "base_")}
+        for name, value in expected.items():
+            assert getattr(row, name) == pytest.approx(value, rel=1e-12), name
+
+    def test_every_trial_failing_gives_nan_summaries(self, fail_in):
+        fail_in("fit", set(range(_FAILING.trials)))
+        rows = (run_estimation_sweep([_FAILING], threads=1)[0],
+                run_baseline_comparison([_FAILING], threads=1, **_CV)[0])
+        for row in rows:
+            assert row.failures == _FAILING.trials
+            summaries = [f.name for f in fields(row) if "mean_" in f.name or "sd_" in f.name]
+            assert len(summaries) in (4, 8)
+            assert all(np.isnan(getattr(row, name)) for name in summaries)
+
+
 class TestInferenceTable:
     def test_power_grows_with_signal(self, force_pool):
         cfg = SimConfig(n=80, d=16, s_star=3, noise_sd=1.0, seed=41, trials=20)
@@ -286,7 +367,7 @@ class TestInferenceTable:
     def test_csv_bytes_stable_across_threads_and_runs(self, force_pool):
         cfg = SimConfig(n=60, d=12, s_star=3, noise_sd=1.0, seed=43, trials=6)
         texts = [
-            inference_csv_text(run_inference_table(cfg, mu_grid=[0.0, 0.5], threads=k))
+            csv_text(run_inference_table(cfg, mu_grid=[0.0, 0.5], threads=k), InferenceRow)
             for k in (1, 2, 1)
         ]
         assert texts[0] == texts[1] == texts[2]
@@ -356,23 +437,9 @@ class TestInferenceTable:
 
 
 class TestThreadDefaults:
-    def test_env_var_controls_default(self, monkeypatch):
-        from nlsparse.simulate import THREADS_ENV_VAR, default_threads
-
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        assert default_threads() == 3
-        monkeypatch.setenv(THREADS_ENV_VAR, "not-a-number")
-        with pytest.raises(InputError):
-            default_threads()
-        monkeypatch.delenv(THREADS_ENV_VAR)
-        assert default_threads() >= 1
-
     def test_default_is_the_usable_cpu_count(self, monkeypatch):
-        import os
+        from nlsparse.simulate import default_threads
 
-        from nlsparse.simulate import THREADS_ENV_VAR, default_threads
-
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert default_threads() == 1
@@ -433,7 +500,7 @@ class TestBlasThreads:
             for caller_threads in (1, 2):
                 _set_blas_threads(caller_threads)
                 for threads in (1, 2):
-                    texts.add(sweep_csv_text(run_estimation_sweep(configs, threads=threads)))
+                    texts.add(csv_text(run_estimation_sweep(configs, threads=threads), SweepRow))
         finally:
             _set_blas_threads(caller)
         assert len(texts) == 1
@@ -446,7 +513,8 @@ class TestBlasThreads:
             for caller_threads in (1, 2):
                 _set_blas_threads(caller_threads)
                 for threads in (1, 2):
-                    texts.add(baseline_csv_text(run_baseline_comparison(configs, threads=threads)))
+                    rows = run_baseline_comparison(configs, threads=threads)
+                    texts.add(csv_text(rows, BaselineRow))
         finally:
             _set_blas_threads(caller)
         assert len(texts) == 1
@@ -496,21 +564,22 @@ def trial_seconds(monkeypatch):
 
 
 _SMALL_EXPERIMENTS = {  # 6 jobs each
-    "sweep": lambda threads: sweep_csv_text(run_estimation_sweep(
-        [SimConfig(n=n, d=16, s_star=2, seed=3, trials=3) for n in (40, 80)], threads=threads)),
-    "baseline": lambda threads: baseline_csv_text(run_baseline_comparison(
-        [SimConfig(n=n, d=12, s_star=2, seed=33, trials=3) for n in (40, 60)], threads=threads)),
-    "table": lambda threads: inference_csv_text(run_inference_table(
-        SimConfig(n=60, d=12, s_star=3, seed=43, trials=3), mu_grid=[0.0, 0.5], threads=threads)),
+    "sweep": lambda threads: csv_text(run_estimation_sweep(
+        [SimConfig(n=n, d=16, s_star=2, seed=3, trials=3) for n in (40, 80)], threads=threads),
+        SweepRow),
+    "baseline": lambda threads: csv_text(run_baseline_comparison(
+        [SimConfig(n=n, d=12, s_star=2, seed=33, trials=3) for n in (40, 60)], threads=threads),
+        BaselineRow),
+    "table": lambda threads: csv_text(run_inference_table(
+        SimConfig(n=60, d=12, s_star=3, seed=43, trials=3), mu_grid=[0.0, 0.5], threads=threads),
+        InferenceRow),
 }
 
 
 class TestSerialThreshold:
     @pytest.mark.parametrize("threads", [2, None])
     def test_small_experiment_starts_no_pool(self, monkeypatch, no_pool, trial_seconds, threads):
-        from nlsparse.simulate import THREADS_ENV_VAR
-
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         # the benchmark's table_lp command at 20 ms a trial: 3 trials left
         # after the first, which 2 workers would cut by 30 ms
         trial_seconds(0.02)
@@ -520,9 +589,7 @@ class TestSerialThreshold:
 
     @pytest.mark.parametrize("threads", [2, None])
     def test_large_experiment_starts_a_pool(self, monkeypatch, pools, trial_seconds, threads):
-        from nlsparse.simulate import THREADS_ENV_VAR
-
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         trial_seconds(0.2)  # 2 x 0.2 s left after the first trial, 0.2 s saved
         configs = [SimConfig(n=40, d=8, s_star=2, seed=5, trials=3)]
         rows = run_estimation_sweep(configs, threads=threads)
@@ -620,6 +687,6 @@ class TestCsvFormatting:
         rows = run_estimation_sweep(
             [SimConfig(n=40, d=8, s_star=2, noise_sd=1.0, seed=8, trials=3)], threads=1
         )
-        body = sweep_csv_text(rows).splitlines()[1].split(",")
+        body = csv_text(rows, SweepRow).splitlines()[1].split(",")
         mean_l2 = body[4]
         assert len(mean_l2.replace(".", "").replace("-", "").lstrip("0")) <= 6
