@@ -126,8 +126,8 @@ def _build_parser():
     p_sim.add_argument("--power-coordinate", dest="power_coordinate", type=int,
                        help="null-false coordinate for the table (default 1)")
     p_sim.add_argument("--threads", type=int,
-                       help="at most this many worker processes, each trial on one BLAS thread; "
-                            "a small experiment runs in-process (default the usable CPU count)")
+                       help="at most this many processes (>= 1), each trial on one BLAS thread "
+                            "(default the usable CPU count)")
     _add_common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -148,6 +148,8 @@ def _build_parser():
     _add_common(p_check)
     p_check.set_defaults(func=_cmd_check)
 
+    for command in sub.choices.values():  # --config values are read by these, as flags are
+        command.set_defaults(option_types={a.dest: a.type for a in command._actions if a.type})
     return parser
 
 
@@ -167,9 +169,19 @@ def _apply_config(args):
         raise InputError(f"config {path} must hold a JSON object")
     for key, value in cfg.items():
         if getattr(args, key, None) is None:
-            setattr(args, key, value)
+            setattr(args, key, _typed(path, key, value, args.option_types.get(key)))
     if not isinstance(args.output, (str, type(None))):
         raise InputError(f"config {path}: output must be a path, got {args.output!r}")
+
+
+def _typed(path, key, value, kind):
+    """A --config value read by its option's ``type``, from the text a flag would hold."""
+    if kind is None or value is None:
+        return value
+    try:
+        return kind(value if isinstance(value, str) else json.dumps(value))
+    except ValueError:
+        raise InputError(f"config {path}: {key} must be {kind.__name__}, got {value!r}") from None
 
 
 def _resolve(args, key, default=None):

@@ -12,12 +12,28 @@ independent, reproducible function of (seed, trial_index), regardless of how
 many worker processes run the trials. Every trial runs with one BLAS thread,
 so experiment CSV output is byte-identical across reruns, worker counts and
 BLAS thread defaults.
+
+Trials run on up to ``threads`` processes (:func:`_map_trials`). One trial,
+one thread, or a system without ``os.fork`` runs them all in the calling
+process. Otherwise the caller pins one BLAS thread, writes every trial's
+index into one pipe and forks the other processes at once. Then each
+process, the caller included, takes the next index from the pipe until it is
+empty, so no process waits while trials are left. Past PIPE_BUF / 4 trials
+(1,024 on Linux) an index stands for a block of consecutive trials, so the
+pipe holds them all before the fork. A child sends its (index, result)
+pairs back pickled through its own pipe, and ends by ``os._exit``; results
+are put back in trial order. If a trial raises, in the caller or in a child,
+or the caller is interrupted, every child is killed and reaped before the
+exception propagates with its own type (a RuntimeError when a child's
+exception cannot be pickled). A child whose caller is gone runs no more
+trials. Before the fork the caller loads ``numpy.random``, and for inference
+``statistics``, which trials load on first use, so that no process loads
+them again.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import islice
@@ -241,68 +257,68 @@ def _set_blas_threads(count: int) -> Optional[int]:
     return previous
 
 
-# Wall time a pool must save before one is started. Importing
-# concurrent.futures and starting, feeding and stopping a 2-worker pool took
-# 40-50 ms in a process that had loaded nlsparse, and two busy processes ran
-# trials 1.3-1.5x, not 2x, as fast as one. Fresh `simulate --experiment table
-# --d 512` commands broke even between 1 and 2 workers at about 0.2 s of
-# serial trial time, where 2 workers would save 0.1 s (2-core x86-64 VM,
-# numpy 2.4 with its bundled OpenBLAS).
-_POOL_START_S = 0.1
-
-
-def _job_cells(job) -> int:
-    """n * d of a trial job whose first item is its SimConfig; 1 for any other job."""
-    config = job[0] if isinstance(job, tuple) else None
-    return config.n * config.d if isinstance(config, SimConfig) else 1
-
-
-def _pool_pays(seconds, cells_done, cells_left, workers) -> bool:
-    """Whether ``workers`` processes would save more than ``_POOL_START_S`` on
-    the jobs left, priced at the measured ``seconds`` per ``cells_done``."""
-    return seconds / cells_done * cells_left * (1.0 - 1.0 / workers) > _POOL_START_S
-
-
 def _map_trials(worker, jobs, threads):
-    """``[worker(job) for job in jobs]``, in order, on up to ``threads`` processes.
-
-    The jobs run in this process, timed, until the measured time per design
-    cell (:func:`_job_cells`) projects that a pool would save more than it costs
-    to start (:func:`_pool_pays`); the jobs left then go to a pool of up to
-    ``threads`` workers. One thread, one job left, or a cheap experiment keeps
-    every job in this process. Every trial runs with one BLAS thread, in the
-    pool and in this process alike: the BLAS thread count changes the last
-    bits of matrix products, so pinning it keeps results independent of the
-    worker count, of where the pool takes over and of the machine's BLAS
-    default, and it keeps workers x BLAS threads from oversubscribing the
-    cores. The pin is set here before the pool starts, so forked workers
-    inherit it; the initializer sets it in spawned ones.
-    """
-    threads = default_threads() if threads is None else max(1, int(threads))
-    cells = [_job_cells(job) for job in jobs]
-    cells_left = sum(cells)
-    cells_done, seconds, results = 0, 0.0, []
-    # numpy imports numpy.random on first use (about 20 ms): import it before
-    # the clock starts, so that the first trial's time prices only the trial
-    import numpy.random  # noqa: F401
-    previous = _set_blas_threads(1)
+    """``[worker(job) for job in jobs]`` on up to ``threads`` processes (see the module doc)."""
+    threads = default_threads() if threads is None else threads
+    if threads < 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
+    forks = min(threads, len(jobs)) - 1 if hasattr(os, "fork") else 0
+    previous, children, results, queue, parent = _set_blas_threads(1), {}, {}, None, os.getpid()
     try:
-        for index, job in enumerate(jobs):
-            workers = min(threads, len(jobs) - index)
-            if workers > 1 and cells_done and _pool_pays(seconds, cells_done, cells_left, workers):
-                from concurrent.futures import ProcessPoolExecutor
+        if not forks:
+            return [worker(job) for job in jobs]
+        import contextlib, pickle, select, signal, numpy.random  # noqa: E401,F401
+        step = -(-len(jobs) // (select.PIPE_BUF // 4))  # jobs per index: the pipe holds them all
+        queue, feed = os.pipe()
+        os.write(feed, np.arange(0, len(jobs), step, dtype="<u4").tobytes())
+        os.close(feed)
 
-                chunksize = max(1, (len(jobs) - index) // (4 * workers))
-                with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads,
-                                         initargs=(1,)) as pool:
-                    return results + list(pool.map(worker, jobs[index:], chunksize=chunksize))
-            started = time.perf_counter()
-            results.append(worker(job))
-            seconds += time.perf_counter() - started
-            cells_done += cells[index]
-            cells_left -= cells[index]
-        return results
+        def claimed():
+            while block := os.read(queue, 4):
+                yield from islice(range(int.from_bytes(block, "little"), len(jobs)), step)
+
+        def receive(out):  # the results of a child that is done, or the exception of its job
+            data = b"".join(iter(lambda: os.read(out, 1 << 16), b""))
+            _, status = os.waitpid(children.pop(out), 0)
+            os.close(out)
+            value = pickle.loads(data) if status == 0 else RuntimeError(
+                f"a worker process exited with {os.waitstatus_to_exitcode(status)}")
+            if isinstance(value, BaseException):
+                raise value
+            results.update(value)
+        for _ in range(forks):
+            out, sink = os.pipe()
+            children[out] = pid = os.fork()
+            if pid == 0:
+                try:  # a child whose parent is gone runs no more jobs
+                    try:
+                        payload = pickle.dumps(
+                            [(k, worker(jobs[k])) for k in claimed() if os.getppid() == parent])
+                    except BaseException as exc:
+                        payload = pickle.dumps(RuntimeError(
+                            f"a worker process raised {exc!r}, which cannot be pickled"))
+                        with contextlib.suppress(Exception):
+                            payload = pickle.dumps(pickle.loads(pickle.dumps(exc)))
+                    with open(sink, "wb") as fh:
+                        fh.write(payload)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(sink)
+        for index in claimed():
+            results[index] = worker(jobs[index])
+            for out in select.select(list(children), [], [], 0)[0]:
+                receive(out)
+        while children:
+            receive(select.select(list(children), [], [])[0][0])
+        return [results[k] for k in range(len(jobs))]
     finally:
+        for out, pid in children.items():  # left only when something raised
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(out)
+        if queue is not None:
+            os.close(queue)
         if previous is not None:
             _set_blas_threads(previous)
 
@@ -530,6 +546,10 @@ def _inference_trial(job):
 
 
 def _inference_jobs(config, coordinates, lambda_scale, rho_scale, significance):
+    # the tests load statistics on first use (normal_quantile): load it here,
+    # before _map_trials forks, so that no process loads it again
+    import statistics  # noqa: F401
+
     fit_config = FitConfig(lam=config.lambda_rule(lambda_scale))
     rho = config.rho_rule(rho_scale)
     tests = []

@@ -34,13 +34,3 @@ def hessian_partition(hess, j: int):
     return (float(hess[idx, idx]), np.delete(hess[idx, :], idx),
             np.delete(np.delete(hess, idx, axis=0), idx, axis=1))
 
-
-@pytest.fixture
-def force_pool(monkeypatch):
-    """Experiments on two or more workers hand every trial after the first to a
-    pool, however cheap, so a 1-versus-2-worker comparison still compares the
-    in-process loop with the pool. Give it at least 3 jobs: a pool is started
-    only while two or more jobs are left."""
-    import nlsparse.simulate
-
-    monkeypatch.setattr(nlsparse.simulate, "_POOL_START_S", float("-inf"))

@@ -302,7 +302,7 @@ def test_criterion_11_diagnostics(capsys):
            f"max_eig_gap={worst:.2e} monotone={monotone} identity_condition={identity_ok}")
 
 
-def test_criterion_12_reproducibility(capsys, tmp_path, force_pool):
+def test_criterion_12_reproducibility(capsys, tmp_path):
     args = ["simulate", "--experiment", "table", "--n", "80", "--d", "24",
             "--s-star", "3", "--trials", "12", "--seed", "31", "--mu-grid", "0,0.5"]
     outputs = []

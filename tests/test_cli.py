@@ -329,6 +329,37 @@ class TestSimulateCommand:
         assert code == 1
         assert err.startswith("nlsparse: error: config") and "output" in err
 
+    @pytest.mark.parametrize("config, key", [
+        ({"n": "abc", "d": 8, "s_star": 2}, "n"),
+        ({"n": 40, "d": 8, "s_star": 2, "threads": "two"}, "threads"),
+        ({"n": 40, "d": 8.5, "s_star": 2}, "d"),
+    ])
+    def test_config_value_of_the_wrong_type_exits_1(self, capsys, tmp_path, config, key):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "simulate", "--experiment", "table", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith(f"nlsparse: error: config {cfg}: {key} must be ")
+        assert "Traceback" not in err
+
+    def test_config_values_are_read_as_flags_are(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"n": "40", "d": 8, "s_star": 2, "trials": 2, "mu_grid": [0],
+                                   "sigma": 1, "rho_rule": "30", "threads": 1}))
+        code, out, _ = run_cli(capsys, "simulate", "--experiment", "table", "--config", str(cfg))
+        assert code == 0
+        flags = run_cli(capsys, "simulate", "--experiment", "table", "--n", "40", "--d", "8",
+                        "--s-star", "2", "--trials", "2", "--mu-grid", "0", "--threads", "1")
+        assert flags[:2] == (0, out)
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_1(self, capsys, threads):
+        code, _, err = run_cli(capsys, "simulate", "--experiment", "table", "--n", "40",
+                               "--d", "8", "--s-star", "2", "--trials", "2", "--mu-grid", "0",
+                               f"--threads={threads}")
+        assert code == 1
+        assert err == f"nlsparse: error: threads must be >= 1, got {threads}\n"
+
     def test_missing_dimensions_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--experiment", "sweep")
         assert code == 1

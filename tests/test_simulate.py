@@ -1,4 +1,6 @@
 import os
+import select
+import time
 from dataclasses import fields, replace
 from operator import itemgetter
 from types import SimpleNamespace
@@ -171,7 +173,7 @@ class TestEstimationSweep:
         )
         assert rows[0].mean_l2 <= 1e-2
 
-    def test_csv_shape_and_determinism(self, force_pool):
+    def test_csv_shape_and_determinism(self):
         configs = [SimConfig(n=60, d=16, s_star=2, noise_sd=1.0, seed=3, trials=4)]
         text1 = csv_text(run_estimation_sweep(configs, threads=1), SweepRow)
         text2 = csv_text(run_estimation_sweep(configs, threads=2), SweepRow)
@@ -340,7 +342,7 @@ class TestFailureAccounting:
 
 
 class TestInferenceTable:
-    def test_power_grows_with_signal(self, force_pool):
+    def test_power_grows_with_signal(self):
         cfg = SimConfig(n=80, d=16, s_star=3, noise_sd=1.0, seed=41, trials=20)
         rows = run_inference_table(cfg, mu_grid=[0.0, 1.5], threads=2)
         assert len(rows) == 2
@@ -364,7 +366,7 @@ class TestInferenceTable:
                 assert o.failure is None
                 assert o.ci_low <= o.ci_high
 
-    def test_csv_bytes_stable_across_threads_and_runs(self, force_pool):
+    def test_csv_bytes_stable_across_threads_and_runs(self):
         cfg = SimConfig(n=60, d=12, s_star=3, noise_sd=1.0, seed=43, trials=6)
         texts = [
             csv_text(run_inference_table(cfg, mu_grid=[0.0, 0.5], threads=k), InferenceRow)
@@ -415,7 +417,7 @@ class TestInferenceTable:
             run_inference_table(SimConfig(n=30, d=8, s_star=2, seed=1, trials=2), mu_grid=[])
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_table_rows_equal_the_per_mu_trials(self, threads, force_pool):
+    def test_table_rows_equal_the_per_mu_trials(self, threads):
         cfg = SimConfig(n=60, d=12, s_star=3, noise_sd=1.0, seed=44, trials=3)
         rows = run_inference_table(cfg, mu_grid=[0.0, 0.5], threads=threads)
         assert [row.mu for row in rows] == [0.0, 0.5]
@@ -483,14 +485,22 @@ class TestBlasThreads:
             _set_blas_threads(caller)
         assert len(designs) == 1
 
-    def test_pool_workers_run_one_thread(self, force_pool, pools):
+    def test_pool_workers_run_one_thread(self, one_job_each):
         from nlsparse.simulate import _map_trials
 
-        _needs_openblas()
-        assert _map_trials(_set_blas_threads, [1] * 4, threads=2) == [1] * 4
-        assert pools == [2]
+        caller = _needs_openblas()
+        try:
+            _set_blas_threads(3)
+            # each job reports the count it found, in the caller and in the child
+            found = _map_trials(one_job_each.wrap(lambda job: _set_blas_threads(5)), [0, 1],
+                                threads=2)
+            assert _set_blas_threads(3) == 3
+        finally:
+            _set_blas_threads(caller)
+        assert found == [1, 1]
+        assert len(set(one_job_each.pids())) == 2
 
-    def test_sweep_csv_independent_of_workers_and_caller_blas_threads(self, force_pool):
+    def test_sweep_csv_independent_of_workers_and_caller_blas_threads(self):
         # at d = 128, n = 1600 OpenBLAS threads the matrix products, and the
         # thread count changes the last bits of the fits
         caller = _needs_openblas()
@@ -505,7 +515,7 @@ class TestBlasThreads:
             _set_blas_threads(caller)
         assert len(texts) == 1
 
-    def test_baseline_csv_independent_of_workers_and_caller_blas_threads(self, force_pool):
+    def test_baseline_csv_independent_of_workers_and_caller_blas_threads(self):
         caller = _needs_openblas()
         configs = [SimConfig(n=200, d=128, s_star=8, noise_sd=1.0, seed=7, trials=3)]
         texts = set()
@@ -521,46 +531,32 @@ class TestBlasThreads:
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The ``max_workers`` of every worker pool started; the pools still run."""
-    import concurrent.futures
+def one_job_each():
+    """``wrap(worker, index)`` runs ``worker`` in a map of two jobs on two
+    processes, one job in each: the job with ``index(job) == 0`` waits until
+    the other has started, however the processes are scheduled. ``pids()``
+    lists the process of every job started."""
+    started_r, started_w = os.pipe()
+    pids_r, pids_w = os.pipe()
+    os.set_blocking(pids_r, False)
 
-    started = []
-    real = concurrent.futures.ProcessPoolExecutor
+    def wrap(worker, index=lambda job: job):
+        def paired(job):
+            os.write(pids_w, os.getpid().to_bytes(4, "little"))
+            if index(job) == 1:
+                os.write(started_w, b"1")
+            else:
+                assert select.select([started_r], [], [], 60)[0], "the other job never started"
+            return worker(job)
+        return paired
 
-    class Recording(real):
-        def __init__(self, max_workers=None, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
+    def pids():
+        data = os.read(pids_r, 1024)
+        return [int.from_bytes(data[k:k + 4], "little") for k in range(0, len(data), 4)]
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    return started
-
-
-@pytest.fixture
-def no_pool(monkeypatch):
-    import concurrent.futures
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-
-
-@pytest.fixture
-def trial_seconds(monkeypatch):
-    """``set(seconds)``: every trial takes that long on the clock that prices
-    the pool decision."""
-    import nlsparse.simulate as sim
-
-    clock = {"now": 0.0, "step": 0.0}
-
-    def perf_counter():  # called once before and once after each trial
-        clock["now"] += clock["step"]
-        return clock["now"]
-
-    monkeypatch.setattr(sim, "time", SimpleNamespace(perf_counter=perf_counter))
-    return lambda seconds: clock.update(step=seconds)
+    yield SimpleNamespace(wrap=wrap, pids=pids)
+    for fd in (started_r, started_w, pids_r, pids_w):
+        os.close(fd)
 
 
 _SMALL_EXPERIMENTS = {  # 6 jobs each
@@ -577,72 +573,28 @@ _SMALL_EXPERIMENTS = {  # 6 jobs each
 
 
 class TestSerialThreshold:
-    @pytest.mark.parametrize("threads", [2, None])
-    def test_small_experiment_starts_no_pool(self, monkeypatch, no_pool, trial_seconds, threads):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        # the benchmark's table_lp command at 20 ms a trial: 3 trials left
-        # after the first, which 2 workers would cut by 30 ms
-        trial_seconds(0.02)
-        cfg = SimConfig(n=200, d=64, s_star=10, seed=7, trials=2)
-        rows = run_inference_table(cfg, mu_grid=[0.0, 0.5], rho_scale=2.0, threads=threads)
-        assert [row.trials for row in rows] == [2, 2]
-
-    @pytest.mark.parametrize("threads", [2, None])
-    def test_large_experiment_starts_a_pool(self, monkeypatch, pools, trial_seconds, threads):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        trial_seconds(0.2)  # 2 x 0.2 s left after the first trial, 0.2 s saved
-        configs = [SimConfig(n=40, d=8, s_star=2, seed=5, trials=3)]
-        rows = run_estimation_sweep(configs, threads=threads)
-        assert pools == [2]
-        assert rows[0].failures == 0
-
-    def test_bound_is_inclusive(self, pools, trial_seconds):
-        from nlsparse.simulate import _POOL_START_S, _map_trials
-
-        # after the first trial 2 are left, and 2 workers would save one trial's time
-        trial_seconds(_POOL_START_S)
-        assert _map_trials(abs, [-1, -2, -3], 2) == [1, 2, 3]
-        assert pools == []
-        trial_seconds(_POOL_START_S * 1.01)
-        assert _map_trials(abs, [-1, -2, -3], 2) == [1, 2, 3]
-        assert pools == [2]
-
-    def test_projection_weighs_jobs_by_design_cells(self, pools, trial_seconds):
-        import nlsparse.simulate as sim
-
-        # the two jobs left after the first have 8 times its cells each, so 2
-        # workers would save 8 times the first trial's time
-        cheap, costly = (SimConfig(n=n, d=8, s_star=2) for n in (10, 80))
-        jobs = [(cheap, -1), (costly, -2), (costly, -3)]
-        trial_seconds(sim._POOL_START_S / 8 * 0.99)
-        assert sim._map_trials(itemgetter(1), jobs, 2) == [-1, -2, -3]
-        assert pools == []
-        trial_seconds(sim._POOL_START_S / 8 * 1.01)
-        assert sim._map_trials(itemgetter(1), jobs, 2) == [-1, -2, -3]
-        assert pools == [2]
-
-    def test_threads_cap_the_workers(self, force_pool, pools):
+    def test_threads_cap_the_workers(self, monkeypatch):
         from nlsparse.simulate import _map_trials
 
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
         assert _map_trials(abs, [-1, -2, -3], threads=8) == [1, 2, 3]
-        assert pools == [2]
-
-    def test_last_job_runs_in_process(self, force_pool, no_pool):
-        from nlsparse.simulate import _map_trials
-
-        assert _map_trials(abs, [-1, -2], threads=2) == [1, 2]
+        assert len(forks) == 2  # the caller runs jobs too
+        assert _map_trials(abs, [-1], threads=8) == [1]
+        assert _map_trials(abs, [-1, -2, -3], threads=1) == [1, 2, 3]
+        assert len(forks) == 2
 
     @pytest.mark.parametrize("experiment", sorted(_SMALL_EXPERIMENTS))
-    def test_csv_bytes_equal_in_process_and_on_a_pool(self, monkeypatch, pools, experiment):
-        import nlsparse.simulate as sim
-
+    def test_csv_bytes_equal_in_process_and_on_a_pool(self, experiment):
         in_process = _SMALL_EXPERIMENTS[experiment](1)
-        assert pools == []
-        for takeover in (1, 2, 3):  # the pool takes over after this many trials
-            decisions = iter(range(1, takeover + 1))
-            monkeypatch.setattr(sim, "_pool_pays", lambda *args: next(decisions) == takeover)
-            assert _SMALL_EXPERIMENTS[experiment](2) == in_process, takeover
-            assert pools == [2] * takeover
+        for threads in (2, 3):
+            assert _SMALL_EXPERIMENTS[experiment](threads) == in_process, threads
 
     def test_serial_run_imports_no_pool_machinery(self, tmp_path):
         import os
@@ -662,6 +614,122 @@ class TestSerialThreshold:
         out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "t.csv")], env=env,
                              capture_output=True, text=True, check=True).stdout
         assert out.strip() == "[]"
+
+
+class TestForkedMap:
+    def test_two_job_experiment_uses_two_processes(self, monkeypatch, one_job_each):
+        import nlsparse.simulate as sim
+
+        monkeypatch.setattr(sim, "_estimation_trial",
+                            one_job_each.wrap(sim._estimation_trial, index=itemgetter(1)))
+        configs = [SimConfig(n=40, d=8, s_star=2, seed=5, trials=2)]
+        text = csv_text(run_estimation_sweep(configs, threads=2), SweepRow)
+        pids = one_job_each.pids()
+        assert len(pids) == 2 and os.getpid() in pids and len(set(pids)) == 2
+        monkeypatch.undo()
+        assert csv_text(run_estimation_sweep(configs, threads=1), SweepRow) == text
+
+    def test_more_jobs_than_the_pipe_holds_come_back_in_order(self):
+        from nlsparse.simulate import _map_trials
+
+        jobs = list(range(-20_000, 0))  # a pipe of 64 KiB holds 16,384 four-byte indices
+        assert _map_trials(abs, jobs, threads=3) == [abs(job) for job in jobs]
+        caller = os.getpid()
+
+        def slow_in_caller(job):  # the children finish while the caller is inside a block
+            if os.getpid() == caller:
+                time.sleep(0.01)
+            return abs(job)
+
+        assert _map_trials(slow_in_caller, jobs, threads=3) == [abs(job) for job in jobs]
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    @pytest.mark.parametrize("raiser", ["caller", "child"])
+    def test_no_child_outlives_a_raising_job(self, one_job_each, raiser, error):
+        from nlsparse.simulate import _map_trials
+
+        caller = os.getpid()
+
+        def job(_):
+            if (os.getpid() == caller) == (raiser == "caller"):
+                raise error("the job failed")
+            if raiser == "caller":
+                time.sleep(60)  # killed, not awaited
+
+        started = time.perf_counter()
+        with pytest.raises(error, match="the job failed"):
+            _map_trials(one_job_each.wrap(job), [0, 1], threads=2)
+        assert time.perf_counter() - started < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_children_of_a_killed_caller_run_no_more_jobs(self, tmp_path):
+        import signal
+        import subprocess
+        import sys
+
+        script = (
+            "import os, sys, time\n"
+            "from nlsparse.simulate import _map_trials\n"
+            "def job(j):\n"
+            "    print(os.getpid(), flush=True)\n"
+            "    time.sleep(0.2)\n"
+            "_map_trials(job, list(range(60)), threads=3)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        started = tmp_path / "started.txt"
+        with open(started, "w") as out:
+            caller = subprocess.Popen([sys.executable, "-c", script], stdout=out,
+                                      env=dict(os.environ, PYTHONPATH=src))
+            deadline = time.monotonic() + 30
+            while len(set(started.read_text().split())) < 3 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            caller.send_signal(signal.SIGKILL)
+            caller.wait()
+            killed_at = len(started.read_text().split())
+            time.sleep(1.0)  # five jobs' time: the children would start about 10 more
+        # a child checks for its caller before each job, and may have passed
+        # that check just before the kill
+        assert len(set(started.read_text().split())) == 3
+        assert len(started.read_text().split()) <= killed_at + 2
+
+    def test_unpicklable_exception_is_a_runtime_error(self, one_job_each):
+        from nlsparse.simulate import _map_trials
+
+        caller = os.getpid()
+
+        def job(_):
+            if os.getpid() != caller:
+                raise ValueError(lambda: None)
+
+        with pytest.raises(RuntimeError, match="ValueError.*cannot be pickled"):
+            _map_trials(one_job_each.wrap(job), [0, 1], threads=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_every_job_runs_in_process(self, monkeypatch):
+        from nlsparse.simulate import _map_trials
+
+        monkeypatch.delattr(os, "fork")
+        assert _map_trials(lambda job: os.getpid(), [0, 1, 2], threads=3) == [os.getpid()] * 3
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected_before_any_trial(self, monkeypatch, threads):
+        import nlsparse.simulate as sim
+
+        def no_trial(job):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sim, "_estimation_trial", no_trial)
+        monkeypatch.setattr(sim, "_inference_trial", no_trial)
+        cfg = SimConfig(n=40, d=8, s_star=2, seed=1, trials=2)
+        runs = [lambda: run_estimation_sweep([cfg], threads=threads),
+                lambda: run_baseline_comparison([cfg], threads=threads),
+                lambda: run_inference_trials(cfg, coordinates=(3,), threads=threads),
+                lambda: run_inference_table(cfg, mu_grid=[0.0], threads=threads)]
+        for run in runs:
+            with pytest.raises(InputError, match="threads must be >= 1"):
+                run()
 
 
 class TestOpenblasHandle:
