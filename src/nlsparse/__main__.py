@@ -5,8 +5,17 @@ a BLAS thread count it loads OpenBLAS with one thread: an idle OpenBLAS
 helper thread busy-waits after start-up and again in each pool worker, on the
 cores the trials need. The other subcommands keep the BLAS default, under
 which their single large fits run faster.
+
+The command ends the way its forked trial workers end: once :func:`main` has
+returned, :func:`run` runs the ``atexit`` callbacks, flushes standard output
+and error, and leaves by ``os._exit``. This skips the interpreter's teardown
+(module clearing and garbage collection over numpy's objects), 35-56 ms of a
+0.3 s command on a 2-core machine. An interrupt prints
+``nlsparse: interrupted`` and exits 130. :func:`main` itself returns its exit
+code and leaves the interpreter running.
 """
 
+import atexit
 import os
 import sys
 
@@ -23,5 +32,28 @@ def main(argv=None) -> int:
     return cli_main(argv)
 
 
+def run():
+    """Run the command of ``sys.argv`` and end the process with its exit code.
+
+    Skipping the teardown loses nothing because, when :func:`main` returns or
+    is interrupted, every file the command wrote is closed (``cli._emit``
+    writes within ``with``) and every trial process has been reaped (the
+    ``finally`` block of ``simulate._map_trials``). Any other exception
+    leaving :func:`main`, argparse's ``SystemExit`` included, takes Python's
+    normal exit, and so does a failed flush: writing to a closed pipe never
+    exits 0.
+    """
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("nlsparse: interrupted", file=sys.stderr)
+        code = 130
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):  # after the callbacks, which may write
+        if stream is not None:  # None when the descriptor was closed at start-up
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

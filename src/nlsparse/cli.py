@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import simulate as sim
-from .diagnostics import check_gradients, sparse_eigen_report
 from .errors import InputError, NumericalError
 from .inference import InferenceConfig, score_test, wald_estimate
 from .model import FitConfig, builtin_link, load_dataset_csv
@@ -158,6 +156,8 @@ def _apply_config(args):
     path = args.config
     if not path:
         return
+    import json
+
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -178,6 +178,8 @@ def _typed(path, key, value, kind):
     """A --config value read by its option's ``type``, from the text a flag would hold."""
     if kind is None or value is None:
         return value
+    import json
+
     try:
         return kind(value if isinstance(value, str) else json.dumps(value))
     except ValueError:
@@ -433,6 +435,8 @@ def _load_matrix_csv(path):
 
 
 def _cmd_check(args) -> int:
+    from .diagnostics import check_gradients, sparse_eigen_report
+
     if args.kind == "gradients":
         link = builtin_link(_resolve(args, "link", "paper"))
         seed = int(_resolve(args, "seed", 0))

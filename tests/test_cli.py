@@ -1,4 +1,9 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -435,13 +440,9 @@ _TINY_TABLE = ["simulate", "--experiment", "table", "--n", "40", "--d", "8", "--
 _PRINT_THREADS = "from nlsparse.simulate import _openblas; print(_openblas()[0]())"
 
 
-def _child(args, blas_threads=None):
-    """Run ``python args`` in a fresh interpreter that finds this nlsparse, with
-    no BLAS thread variable set or with OPENBLAS_NUM_THREADS=blas_threads."""
-    import os
-    import subprocess
-    import sys
-
+def _child_env(blas_threads=None):
+    """The environment of a fresh interpreter that finds this nlsparse, with no
+    BLAS thread variable set or with OPENBLAS_NUM_THREADS=blas_threads."""
     import nlsparse
     from nlsparse.__main__ import _BLAS_THREAD_VARS
 
@@ -450,8 +451,13 @@ def _child(args, blas_threads=None):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
+    return env
+
+
+def _child(args, blas_threads=None):
+    """The standard output of ``python args`` in a fresh interpreter (see _child_env)."""
+    proc = subprocess.run([sys.executable, *args], env=_child_env(blas_threads),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -514,3 +520,111 @@ except AttributeError:
             _child(argv + ["--output", str(out)], blas_threads=blas_threads)
             texts.add(out.read_bytes())
         assert len(texts) == 1
+
+
+# The two ways the command starts: ``python -m nlsparse``, and the entry function
+# that the installed ``nlsparse`` script calls.
+_LAUNCHERS = {"module": ["-m", "nlsparse"],
+              "script": ["-c", "from nlsparse.__main__ import run; run()"]}
+_EIGEN = ["check", "--kind", "sparse-eigen", "--d", "8", "--toeplitz-rho", "0.5"]
+
+
+def _command(launcher, argv, env=None, **kwargs):
+    return subprocess.run([sys.executable, *_LAUNCHERS[launcher], *argv],
+                          env=env or _child_env(), timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("launcher", sorted(_LAUNCHERS))
+class TestExitPath:
+    """The command process ends by os._exit; these check what it must keep."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (_EIGEN, 0),
+        (["simulate", "--bogus"], 1),
+        (["check", "--kind", "sparse-eigen", "--d", "30", "--toeplitz-rho", "0.5"], 2),
+        (_EIGEN + ["--s-star", "2", "--k-star", "2"], 2),
+    ])
+    def test_exit_codes(self, launcher, argv, code):
+        proc = _command(launcher, argv, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_stdout_on_a_pipe_equals_the_output_file(self, launcher, tmp_path):
+        argv = [*_TINY_TABLE[:-2], "--threads", "2"]  # a forked child must write nothing
+        out = tmp_path / "table.csv"
+        assert _command(launcher, argv + ["--output", str(out)]).returncode == 0
+        piped = _command(launcher, argv + ["--output", "-"], stdout=subprocess.PIPE)
+        assert piped.returncode == 0
+        assert piped.stdout == out.read_bytes() != b""
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_closed_stdout_pipe_exits_nonzero(self, launcher, buffered):
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:  # then the write fails inside main, not the flush after it
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _command(launcher, _EIGEN, env=env, stdout=write, stderr=subprocess.DEVNULL)
+        finally:
+            os.close(write)
+        assert proc.returncode != 0
+
+    def test_closed_stdout_with_an_output_file_exits_0(self, launcher, tmp_path):
+        out = tmp_path / "report.txt"
+        proc = _command(launcher, _EIGEN + ["--output", str(out)], capture_output=True,
+                        preexec_fn=lambda: os.close(1))  # sys.stdout is None in the child
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text().endswith("PASS\n")
+
+    @pytest.mark.parametrize("to_group", [False, True], ids=["pid", "group"])
+    def test_interrupt_prints_one_line_and_leaves_no_process(self, launcher, to_group,
+                                                             tmp_path):
+        argv = ["simulate", "--experiment", "table", "--n", "200", "--d", "512", "--s-star",
+                "10", "--trials", "100", "--seed", "7", "--threads", "2",
+                "--output", str(tmp_path / "table.csv")]
+        proc = subprocess.Popen([sys.executable, *_LAUNCHERS[launcher], *argv],
+                                env=_child_env(), stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+            deadline = time.monotonic() + 60
+            while proc.poll() is None and time.monotonic() < deadline:
+                try:  # interrupt once a trial process is forked
+                    with open(children) as fh:
+                        if fh.read().split():
+                            break
+                except FileNotFoundError:
+                    pytest.skip("no /proc children list to see the forked trial processes")
+                time.sleep(0.01)
+            else:
+                pytest.fail(f"simulate forked no trial process (exit code {proc.poll()})")
+            time.sleep(0.2)  # the caller is past the fork, and the child into a trial
+            # pid: as `kill -INT` and `timeout -s INT` send it; group: as Ctrl-C does
+            (os.killpg if to_group else os.kill)(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130
+        assert err == "nlsparse: interrupted\n"
+        with pytest.raises(ProcessLookupError):  # nothing is left in its process group
+            os.killpg(proc.pid, 0)
+        assert not (tmp_path / "table.csv").exists()
+
+
+def test_atexit_callback_registered_before_run_runs():
+    code = "import atexit; atexit.register(lambda: print('atexit ran'));" + _LAUNCHERS["script"][1]
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)  # the callback's output is flushed only after it
+    proc = subprocess.run([sys.executable, "-c", code, *_EIGEN], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("PASS\natexit ran\n")
+
+
+def test_import_cli_loads_neither_diagnostics_nor_json():
+    code = "import sys, nlsparse.cli; print({'json', 'nlsparse.diagnostics'} & set(sys.modules))"
+    assert _child(["-c", code]) == "set()\n"
