@@ -11,7 +11,8 @@ returned, :func:`run` runs the ``atexit`` callbacks, flushes standard output
 and error, and leaves by ``os._exit``. This skips the interpreter's teardown
 (module clearing and garbage collection over numpy's objects), 35-56 ms of a
 0.3 s command on a 2-core machine. An interrupt prints
-``nlsparse: interrupted`` and exits 130. :func:`main` itself returns its exit
+``nlsparse: interrupted`` and exits 130; a closed standard output prints one
+``nlsparse: error: ...`` line and exits 1. :func:`main` itself returns its exit
 code and leaves the interpreter running.
 """
 
@@ -40,19 +41,35 @@ def run():
     writes within ``with``) and every trial process has been reaped (the
     ``finally`` block of ``simulate._map_trials``). Any other exception
     leaving :func:`main`, argparse's ``SystemExit`` included, takes Python's
-    normal exit, and so does a failed flush: writing to a closed pipe never
-    exits 0.
+    normal exit. When the reader of standard output has gone (a
+    ``BrokenPipeError`` from :func:`main` or from the flush), the command
+    prints one line and exits 1: writing to a closed pipe never exits 0.
     """
     try:
         code = main()
     except KeyboardInterrupt:
         print("nlsparse: interrupted", file=sys.stderr)
         code = 130
+    except BrokenPipeError:
+        code = _closed_stdout()
     atexit._run_exitfuncs()
-    for stream in (sys.stdout, sys.stderr):  # after the callbacks, which may write
-        if stream is not None:  # None when the descriptor was closed at start-up
-            stream.flush()
+    try:
+        for stream in (sys.stdout, sys.stderr):  # after the callbacks, which may write
+            if stream is not None:  # None when the descriptor was closed at start-up
+                stream.flush()
+    except BrokenPipeError:
+        code = _closed_stdout()
     os._exit(code)
+
+
+def _closed_stdout() -> int:
+    """Report that the reader of standard output has gone; return the exit code, 1."""
+    try:
+        print("nlsparse: error: cannot write to standard output (broken pipe)",
+              file=sys.stderr, flush=True)
+    except OSError:  # standard error has gone too
+        pass
+    return 1
 
 
 if __name__ == "__main__":

@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 usage or input errors, 2 numerical or statistical
 failures. Option precedence is command line > --config JSON file > built-in
-defaults. Result documents are line-oriented ``key=value`` pairs followed by
-a sparse coefficient block (``beta <index> <value>`` lines, 1-based indices),
-chosen for easy diffing; simulate writes the CSV schemas of
-:mod:`nlsparse.simulate`.
+defaults: the file's values become the subcommand's defaults, and the command
+line is parsed again over them. Result documents are line-oriented
+``key=value`` pairs followed by a sparse coefficient block (``beta <index>
+<value>`` lines, 1-based indices), chosen for easy diffing; simulate writes
+the CSV schemas of :mod:`nlsparse.simulate`.
 """
 
 from __future__ import annotations
@@ -32,14 +33,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _list_of(kind):
+    """The ``type`` of an option that takes a comma-separated list of ``kind``."""
+    def parse(text):
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+
+    parse.__name__ = f"comma-separated {kind.__name__}s"
+    return parse
+
+
 def _add_common(p):
-    p.add_argument("--config", help="JSON file with defaults for any option")
+    p.add_argument("--config", help="JSON file of option values, keyed by option name "
+                                    "(e.g. s_star); flags win over it")
     p.add_argument("--output", help="output path, or - for stdout (default stdout)")
 
 
 def _add_fit_options(p):
     p.add_argument("--data", help="dataset CSV: first column y, then x1..xd")
-    p.add_argument("--link", help="link function: identity or paper (2x+cos x)")
+    p.add_argument("--link", default="paper",
+                   help="link function: identity or paper (2x+cos x) (default %(default)s)")
     p.add_argument("--lambda", dest="lam", type=float,
                    help="regularization strength (overrides --lambda-rule)")
     p.add_argument("--lambda-rule", dest="lambda_rule", type=float,
@@ -50,6 +62,8 @@ def _add_fit_options(p):
     p.add_argument("--eta", type=float, help="line-search growth factor (> 1)")
     p.add_argument("--zeta", type=float, help="sufficient-decrease constant")
     p.add_argument("--memory", type=int, help="nonmonotone window length")
+    # FitConfig fields that have no flag; a --config file may set them
+    p.set_defaults(config_only={"alpha_min": float, "alpha_max": float, "max_linesearch": int})
 
 
 def _add_inference_options(p):
@@ -61,9 +75,8 @@ def _add_inference_options(p):
                    help=f"hypothesized coefficient value (default {InferenceConfig.null_value:g})")
     p.add_argument("--rho", type=float,
                    help="decorrelation LP radius (overrides --rho-rule)")
-    p.add_argument("--rho-rule", dest="rho_rule", type=float,
-                   help=f"set rho = C*sigma*sqrt(log(d)/n) with this C "
-                        f"(default {sim.RHO_SCALE:g})")
+    p.add_argument("--rho-rule", dest="rho_rule", type=float, default=sim.RHO_SCALE,
+                   help="set rho = C*sigma*sqrt(log(d)/n) with this C (default %(default)g)")
 
 
 def _build_parser():
@@ -92,18 +105,18 @@ def _build_parser():
     _add_common(p_ci)
     p_ci.set_defaults(func=_cmd_ci)
 
+    ints = _list_of(int)
     p_sim = sub.add_parser("simulate", help="run a synthetic experiment",
                            description="Synthetic experiments writing plot-ready CSV.")
     p_sim.add_argument("--experiment", choices=["sweep", "baseline", "table"], required=True)
-    p_sim.add_argument("--n", type=int, help="sample size")
-    p_sim.add_argument("--d", type=int, help="dimension")
-    p_sim.add_argument("--s-star", dest="s_star", type=int, help="support size")
-    p_sim.add_argument("--n-grid", dest="n_grid", help="comma-separated n values")
-    p_sim.add_argument("--d-grid", dest="d_grid", help="comma-separated d values")
-    p_sim.add_argument("--s-star-grid", dest="s_star_grid",
-                       help="comma-separated support sizes")
-    p_sim.add_argument("--mu-grid", dest="mu_grid",
-                       help="comma-separated signal strengths (table experiment)")
+    p_sim.add_argument("--n", "--n-grid", dest="n", type=ints,
+                       help="comma-separated sample sizes (one for table)")
+    p_sim.add_argument("--d", "--d-grid", dest="d", type=ints,
+                       help="comma-separated dimensions (one for table)")
+    p_sim.add_argument("--s-star", "--s-star-grid", dest="s_star", type=ints,
+                       help="comma-separated support sizes (one for table)")
+    p_sim.add_argument("--mu-grid", dest="mu_grid", type=_list_of(float),
+                       help="comma-separated signal strengths for table (default 0,0.05,...,0.5)")
     p_sim.add_argument("--link", help=f"link function name (default {sim.SimConfig.link_name})")
     p_sim.add_argument("--sigma", type=float,
                        help=f"noise standard deviation (default {sim.SimConfig.noise_sd:g})")
@@ -111,18 +124,19 @@ def _build_parser():
                        help=f"design correlation decay (default {sim.SimConfig.toeplitz_rho:g})")
     p_sim.add_argument("--beta-mode", dest="beta_mode",
                        help='"uniform:lo,hi" or "constant:mu" (default uniform:0,2)')
-    p_sim.add_argument("--trials", type=int, help="trials per grid point (default 100)")
+    p_sim.add_argument("--trials", type=int, default=100,
+                       help="trials per grid point (default %(default)s)")
     p_sim.add_argument("--seed", type=int, help=f"base seed (default {sim.SimConfig.seed})")
-    p_sim.add_argument("--lambda-rule", dest="lambda_rule", type=float,
-                       help=f"C in lambda = C*sigma*sqrt(log(d)/n) (default {sim.LAMBDA_SCALE:g})")
-    p_sim.add_argument("--rho-rule", dest="rho_rule", type=float,
-                       help=f"C in rho = C*sigma*sqrt(log(d)/n) (default {sim.RHO_SCALE:g})")
-    p_sim.add_argument("--delta", type=float,
-                       help=f"test level for table (default {InferenceConfig.significance:g})")
+    p_sim.add_argument("--lambda-rule", dest="lambda_rule", type=float, default=sim.LAMBDA_SCALE,
+                       help="C in lambda = C*sigma*sqrt(log(d)/n) (default %(default)g)")
+    p_sim.add_argument("--rho-rule", dest="rho_rule", type=float, default=sim.RHO_SCALE,
+                       help="C in rho = C*sigma*sqrt(log(d)/n) (default %(default)g)")
+    p_sim.add_argument("--delta", type=float, default=InferenceConfig.significance,
+                       help="test level for table (default %(default)g)")
     p_sim.add_argument("--type1-coordinate", dest="type1_coordinate", type=int,
                        help="null-true coordinate for the table (default s_star+1)")
-    p_sim.add_argument("--power-coordinate", dest="power_coordinate", type=int,
-                       help="null-false coordinate for the table (default 1)")
+    p_sim.add_argument("--power-coordinate", dest="power_coordinate", type=int, default=1,
+                       help="null-false coordinate for the table (default %(default)s)")
     p_sim.add_argument("--threads", type=int,
                        help="at most this many processes (>= 1), each trial on one BLAS thread "
                             "(default the usable CPU count)")
@@ -132,30 +146,38 @@ def _build_parser():
     p_check = sub.add_parser("check", help="run a numerical diagnostic",
                              description="Derivative or sparse-eigenvalue diagnostics.")
     p_check.add_argument("--kind", choices=["gradients", "sparse-eigen"], required=True)
-    p_check.add_argument("--link", help="link name for gradient checks (default paper)")
-    p_check.add_argument("--n", type=int, help="rows per gradient-check instance (default 10)")
-    p_check.add_argument("--d", type=int, help="dimension (default 5; sparse-eigen cap 24)")
-    p_check.add_argument("--trials", type=int, help="gradient-check instances (default 50)")
-    p_check.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    p_check.add_argument("--link", default="paper",
+                         help="link name for gradient checks (default %(default)s)")
+    p_check.add_argument("--n", type=int, default=10,
+                         help="rows per gradient-check instance (default %(default)s)")
+    p_check.add_argument("--d", type=int, help="dimension (default 5 for gradients; "
+                                               "sparse-eigen cap 24)")
+    p_check.add_argument("--trials", type=int, default=50,
+                         help="gradient-check instances (default %(default)s)")
+    p_check.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
     p_check.add_argument("--matrix", help="CSV file with a square matrix for sparse-eigen")
     p_check.add_argument("--toeplitz-rho", dest="toeplitz_rho", type=float,
-                         help="build the Toeplitz covariance rho^|j-k| instead of --matrix")
+                         default=sim.SimConfig.toeplitz_rho,
+                         help="build the Toeplitz covariance rho^|j-k| instead of --matrix "
+                              "(default %(default)g)")
     p_check.add_argument("--k", type=int, help="sparsity level for the eigen report")
     p_check.add_argument("--s-star", dest="s_star", type=int, help="support size for the condition")
     p_check.add_argument("--k-star", dest="k_star", type=int, help="relaxation size for the condition")
     _add_common(p_check)
     p_check.set_defaults(func=_cmd_check)
 
-    for command in sub.choices.values():  # --config values are read by these, as flags are
-        command.set_defaults(option_types={a.dest: a.type for a in command._actions if a.type})
+    for command in sub.choices.values():  # main reads a --config file through it
+        command.set_defaults(parser=command)
     return parser
 
 
-def _apply_config(args):
-    """Set every option of ``args`` that is still None from the --config file."""
-    path = args.config
-    if not path:
-        return
+def _config_defaults(path, command):
+    """The --config file at ``path`` as defaults for ``command``'s options.
+
+    Each value is read by its option's ``type`` from the text its flag would
+    hold, a JSON list as comma-separated text; null keeps the default. A key
+    that names no option is an input error.
+    """
     import json
 
     try:
@@ -167,40 +189,35 @@ def _apply_config(args):
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError(f"config {path} must hold a JSON object")
+    kinds = {a.dest: a.type or str for a in command._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    kinds.update(command.get_default("config_only") or {})
+    values = {}
     for key, value in cfg.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, _typed(path, key, value, args.option_types.get(key)))
-    if not isinstance(args.output, (str, type(None))):
-        raise InputError(f"config {path}: output must be a path, got {args.output!r}")
-
-
-def _typed(path, key, value, kind):
-    """A --config value read by its option's ``type``, from the text a flag would hold."""
-    if kind is None or value is None:
-        return value
-    import json
-
-    try:
-        return kind(value if isinstance(value, str) else json.dumps(value))
-    except ValueError:
-        raise InputError(f"config {path}: {key} must be {kind.__name__}, got {value!r}") from None
-
-
-def _resolve(args, key, default=None):
-    value = getattr(args, key, None)
-    return default if value is None else value
+        if key not in kinds:
+            raise InputError(f"config {path}: no option {key}")
+        kind = kinds[key]
+        if value is None:
+            continue
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        try:
+            if kind is str and not isinstance(value, str):  # a path or a name, not a number
+                raise ValueError
+            values[key] = kind(text)
+        except ValueError:
+            raise InputError(f"config {path}: {key} must be {kind.__name__}, "
+                             f"got {value!r}") from None
+    return values
 
 
 def _user_options(args, config_type, skip=(), keys=None):
     """Fields of ``config_type`` set by flag or in --config; the rest keep the
     dataclass defaults. ``keys`` maps a field to its option name where they
     differ, ``skip`` lists fields the caller resolves."""
-    options = {}
-    for field in dataclasses.fields(config_type):
-        value = _resolve(args, (keys or {}).get(field.name, field.name))
-        if field.name not in skip and value is not None:
-            options[field.name] = float(value) if isinstance(field.default, float) else value
-    return options
+    keys = keys or {}
+    options = {field.name: getattr(args, keys.get(field.name, field.name), None)
+               for field in dataclasses.fields(config_type) if field.name not in skip}
+    return {name: value for name, value in options.items() if value is not None}
 
 
 def _emit(text: str, output):
@@ -229,25 +246,21 @@ def _doc(pairs, beta=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_rule(args, data, key, flag, default_scale=None):
-    """The value set by --<flag>, else the rate rule at --<flag>-rule and --sigma."""
-    value = _resolve(args, key)
+def _rule_value(flag, value, scale, sigma, data):
+    """``value`` (set by --<flag>), else the rate rule at ``scale`` (--<flag>-rule) and ``sigma``."""
     if value is not None:
-        return float(value)
-    scale = _resolve(args, f"{flag}_rule", default_scale)
-    sigma = _resolve(args, "sigma")
+        return value
     if scale is None or sigma is None:
         raise InputError(f"specify --{flag}, or --{flag}-rule together with --sigma")
-    return sim.rate_rule(float(scale), float(sigma), data.n, data.d)
+    return sim.rate_rule(scale, sigma, data.n, data.d)
 
 
 def _fit_from_args(args):
-    data_path = _resolve(args, "data")
-    if not data_path:
+    if not args.data:
         raise InputError("--data is required")
-    data = load_dataset_csv(data_path)
-    link = builtin_link(_resolve(args, "link", "paper"))
-    lam = _resolve_rule(args, data, "lam", "lambda")
+    data = load_dataset_csv(args.data)
+    link = builtin_link(args.link)
+    lam = _rule_value("lambda", args.lam, args.lambda_rule, args.sigma, data)
     config = FitConfig(lam=lam, **_user_options(args, FitConfig, skip=("lam", "init")))
     return data, link, lam, fit(link, data, config)
 
@@ -271,8 +284,8 @@ def _cmd_fit(args) -> int:
 
 def _inference_config(args, data):
     return InferenceConfig(
-        coordinate=int(_resolve(args, "coordinate")),
-        rho=_resolve_rule(args, data, "rho", "rho", sim.RHO_SCALE),
+        coordinate=args.coordinate,
+        rho=_rule_value("rho", args.rho, args.rho_rule, args.sigma, data),
         **_user_options(args, InferenceConfig, skip=("coordinate", "rho"),
                         keys={"significance": "delta"}),
     )
@@ -339,19 +352,8 @@ def _cmd_ci(args) -> int:
     return 0
 
 
-def _parse_grid(raw, cast):
-    if raw is None:
-        return None
-    if isinstance(raw, (list, tuple)):
-        return [cast(v) for v in raw]
-    try:
-        return [cast(tok) for tok in str(raw).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad grid {raw!r}: {exc}") from exc
-
-
 def _parse_beta_mode(raw):
-    kind, _, params = str(raw).partition(":")
+    kind, _, params = raw.partition(":")
     try:
         if kind == "uniform":
             if not params:
@@ -370,54 +372,34 @@ def _cmd_simulate(args) -> int:
     output = args.output
     if output not in (None, "-") and not os.path.isdir(os.path.dirname(os.path.abspath(output))):
         raise InputError(f"cannot write {args.output}: its directory does not exist")
-    base = _user_options(args, sim.SimConfig, skip=("n", "d", "s_star", "trials"),
+    base = _user_options(args, sim.SimConfig, skip=("n", "d", "s_star"),
                          keys={"link_name": "link", "noise_sd": "sigma"})
     if "beta_mode" in base:
         base["beta_mode"] = _parse_beta_mode(base["beta_mode"])
-    base["trials"] = int(_resolve(args, "trials", 100))
-    n = _resolve(args, "n")
-    d = _resolve(args, "d")
-    s_star = _resolve(args, "s_star")
-    lambda_scale = float(_resolve(args, "lambda_rule", sim.LAMBDA_SCALE))
-    threads = _resolve(args, "threads")
-    threads = int(threads) if threads is not None else None
-
-    if args.experiment in ("sweep", "baseline"):
-        n_grid = _parse_grid(_resolve(args, "n_grid"), int) or (
-            [int(n)] if n is not None else None)
-        d_grid = _parse_grid(_resolve(args, "d_grid"), int) or (
-            [int(d)] if d is not None else None)
-        s_grid = _parse_grid(_resolve(args, "s_star_grid"), int) or (
-            [int(s_star)] if s_star is not None else None)
-        if n_grid is None or d_grid is None or s_grid is None:
-            raise InputError(
-                "simulate needs --n/--n-grid, --d/--d-grid and --s-star/--s-star-grid"
-            )
-        configs = [
-            sim.SimConfig(n=nn, d=dd, s_star=ss, **base)
-            for dd in d_grid for ss in s_grid for nn in n_grid
-        ]
-        if args.experiment == "sweep":
-            rows = sim.run_estimation_sweep(configs, lambda_scale, threads=threads)
-            text = sim.csv_text(rows, sim.SweepRow)
-        else:
-            rows = sim.run_baseline_comparison(configs, lambda_scale, threads=threads)
-            text = sim.csv_text(rows, sim.BaselineRow)
+    grids = (args.n, args.d, args.s_star)
+    if not all(grids):
+        raise InputError("simulate needs --n, --d and --s-star")
+    if args.experiment == "table" and max(map(len, grids)) > 1:
+        raise InputError("simulate --experiment table takes one value of each of "
+                         "--n, --d and --s-star")
+    configs = [sim.SimConfig(n=n, d=d, s_star=s_star, **base)
+               for d in args.d for s_star in args.s_star for n in args.n]
+    if args.experiment == "sweep":
+        rows = sim.run_estimation_sweep(configs, args.lambda_rule, threads=args.threads)
+        text = sim.csv_text(rows, sim.SweepRow)
+    elif args.experiment == "baseline":
+        rows = sim.run_baseline_comparison(configs, args.lambda_rule, threads=args.threads)
+        text = sim.csv_text(rows, sim.BaselineRow)
     else:
-        if n is None or d is None or s_star is None:
-            raise InputError("simulate --experiment table needs --n, --d and --s-star")
-        config = sim.SimConfig(n=int(n), d=int(d), s_star=int(s_star), **base)
-        mu_grid = _parse_grid(_resolve(args, "mu_grid"), float)
-        type1 = _resolve(args, "type1_coordinate")
         rows = sim.run_inference_table(
-            config,
-            mu_grid=mu_grid,
-            type1_coordinate=int(type1) if type1 is not None else None,
-            power_coordinate=int(_resolve(args, "power_coordinate", 1)),
-            lambda_scale=lambda_scale,
-            rho_scale=float(_resolve(args, "rho_rule", sim.RHO_SCALE)),
-            significance=float(_resolve(args, "delta", InferenceConfig.significance)),
-            threads=threads,
+            configs[0],
+            mu_grid=args.mu_grid,
+            type1_coordinate=args.type1_coordinate,
+            power_coordinate=args.power_coordinate,
+            lambda_scale=args.lambda_rule,
+            rho_scale=args.rho_rule,
+            significance=args.delta,
+            threads=args.threads,
         )
         text = sim.csv_text(rows, sim.InferenceRow)
     _emit(text, output)
@@ -438,16 +420,9 @@ def _cmd_check(args) -> int:
     from .diagnostics import check_gradients, sparse_eigen_report
 
     if args.kind == "gradients":
-        link = builtin_link(_resolve(args, "link", "paper"))
-        seed = int(_resolve(args, "seed", 0))
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
-        report = check_gradients(
-            link,
-            n=int(_resolve(args, "n", 10)),
-            d=int(_resolve(args, "d", 5)),
-            trials=int(_resolve(args, "trials", 50)),
-            rng=rng,
-        )
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([args.seed])))
+        report = check_gradients(builtin_link(args.link), n=args.n,
+                                 d=5 if args.d is None else args.d, trials=args.trials, rng=rng)
         verdict = "PASS" if report.passed else "FAIL"
         _emit(
             f"{verdict} max_rel_grad={report.max_rel_gradient:.3e} "
@@ -456,25 +431,16 @@ def _cmd_check(args) -> int:
         )
         return 0 if report.passed else 2
 
-    matrix_path = _resolve(args, "matrix")
-    if matrix_path:
-        M = _load_matrix_csv(matrix_path)
+    if args.matrix:
+        M = _load_matrix_csv(args.matrix)
+    elif args.d is None:
+        raise InputError("sparse-eigen needs --matrix or --d with --toeplitz-rho")
     else:
-        d = _resolve(args, "d")
-        if d is None:
-            raise InputError("sparse-eigen needs --matrix or --d with --toeplitz-rho")
-        rho = float(_resolve(args, "toeplitz_rho", sim.SimConfig.toeplitz_rho))
-        M = sim.toeplitz_covariance(int(d), rho)
-    s_star = _resolve(args, "s_star")
-    k_star = _resolve(args, "k_star")
-    k = _resolve(args, "k")
+        M = sim.toeplitz_covariance(args.d, args.toeplitz_rho)
+    k = args.k
     if k is None:
-        k = k_star if k_star is not None else M.shape[0]
-    report = sparse_eigen_report(
-        M, int(k),
-        s_star=int(s_star) if s_star is not None else None,
-        k_star=int(k_star) if k_star is not None else None,
-    )
+        k = args.k_star if args.k_star is not None else M.shape[0]
+    report = sparse_eigen_report(M, k, s_star=args.s_star, k_star=args.k_star)
     lines = [
         f"k={report.k}",
         f"rho_minus={report.rho_minus!r}",
@@ -494,7 +460,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:  # the file's values become the defaults the flags override
+            args.parser.set_defaults(**_config_defaults(args.config, args.parser))
+            args = parser.parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"nlsparse: error: {exc}", file=sys.stderr)

@@ -208,7 +208,7 @@ def _wald_result(n, config, beta_hat, pieces):
             f"degenerate Wald variance at coordinate {j} "
             f"(design factor {factor_design}, residual factor {factor_resid})"
         )
-    var_w = factor_resid / factor_design
+    var_w = factor_resid / d0
     if not np.isfinite(var_w) or var_w <= 0.0:
         raise DegenerateVarianceError(f"degenerate Wald variance ({var_w})")
     sigma_w = math.sqrt(var_w)
@@ -245,9 +245,11 @@ def wald_estimate(link: LinkFunction, data: Dataset, fit: FitResult, config: Inf
 
     Everything is evaluated at the fitted point (not the null-imposed one).
     The correction divides the decorrelated score by
-    ``D0 = h_aa - h_ag . d_hat``; the variance estimate inverts the design
-    factor of the score variance, so the CI is
-    ``alpha_bar -+ z * sigma_w / sqrt(n)``.
+    ``D0 = h_aa - h_ag . d_hat``. The variance estimate of sqrt(n) alpha_bar
+    is the model-based ``r / D0``, with ``r = mean[resid^2]``, so the CI is
+    ``alpha_bar -+ z * sigma_w / sqrt(n)`` with ``sigma_w = sqrt(r / D0)``.
+    A D0 within 1e-12 of zero raises :class:`SingularDenominatorError`, and a
+    negative one :class:`DegenerateVarianceError`.
     """
     beta_hat, _ = _points(data, fit, config)
     pieces = _decorrelate(link, data, beta_hat, config.coordinate, config.rho)

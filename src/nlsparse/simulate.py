@@ -76,7 +76,7 @@ _STREAM_NOISE = 2
 
 # Default constants C of the lambda and rho rules (see rate_rule).
 LAMBDA_SCALE = 3.0
-RHO_SCALE = 30.0
+RHO_SCALE = 0.25
 
 # Floor for rule-derived regularization when sigma = 0 (noiseless runs).
 _NOISELESS_LAMBDA = 1e-4

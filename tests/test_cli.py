@@ -354,8 +354,53 @@ class TestSimulateCommand:
         code, out, _ = run_cli(capsys, "simulate", "--experiment", "table", "--config", str(cfg))
         assert code == 0
         flags = run_cli(capsys, "simulate", "--experiment", "table", "--n", "40", "--d", "8",
-                        "--s-star", "2", "--trials", "2", "--mu-grid", "0", "--threads", "1")
+                        "--s-star", "2", "--trials", "2", "--mu-grid", "0", "--rho-rule", "30",
+                        "--threads", "1")
         assert flags[:2] == (0, out)
+
+    @pytest.mark.parametrize("command, config, key", [
+        (["fit", "--data", "unread.csv"], {"lam": 0.1, "tolerance": 1e-6}, "tolerance"),
+        (["simulate", "--experiment", "table"], {"n": 40, "d": 8, "s_star": 2, "trails": 2},
+         "trails"),
+        (["simulate", "--experiment", "sweep"], {"n_grid": [40, 80], "d": 8, "s_star": 2},
+         "n_grid"),
+    ])
+    def test_config_key_that_names_no_option_exits_1(self, capsys, monkeypatch, tmp_path,
+                                                     command, config, key):
+        import nlsparse.simulate as sim
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sim, "_map_trials", no_trials)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == f"nlsparse: error: config {cfg}: no option {key}\n"
+
+    def test_n_and_n_grid_are_one_option(self, capsys, tmp_path):
+        args = ["simulate", "--experiment", "sweep", "--d", "10", "--s-star", "2",
+                "--trials", "2", "--seed", "5", "--threads", "1"]
+        texts = [run_cli(capsys, *args, flag, "40,80")[:2] for flag in ("--n", "--n-grid")]
+        assert texts[0] == texts[1]
+        assert texts[0][0] == 0 and len(texts[0][1].splitlines()) == 3
+
+    @pytest.mark.parametrize("flag", ["--n", "--d", "--s-star"])
+    def test_table_with_two_values_of_a_size_exits_1(self, capsys, monkeypatch, flag):
+        import nlsparse.simulate as sim
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sim, "_map_trials", no_trials)
+        sizes = {"--n": "40", "--d": "8", "--s-star": "2"}
+        sizes[flag] += ",3"
+        code, _, err = run_cli(capsys, "simulate", "--experiment", "table", "--trials", "1",
+                               *[x for item in sizes.items() for x in item])
+        assert code == 1
+        assert err == ("nlsparse: error: simulate --experiment table takes one value of "
+                       "each of --n, --d and --s-star\n")
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_1(self, capsys, threads):
@@ -415,6 +460,22 @@ class TestParser:
         out = capsys.readouterr().out
         for flag in ("--data", "--lambda", "--lambda-rule", "--sigma", "--output"):
             assert flag in out
+
+    @pytest.mark.parametrize("command, shown", [
+        ("simulate", ["trials per grid point (default 100)", "(default 0.25)", "(default 3)",
+                      "(default 0.05)", "null-false coordinate for the table (default 1)"]),
+        ("check", ["(default paper)", "(default 10)", "(default 50)", "RNG seed (default 0)",
+                   "(default 0.95)"]),
+        ("fit", ["(default paper)"]),
+        ("ci", ["(default paper)", "(default 0.25)"]),
+    ])
+    def test_help_shows_the_parser_defaults(self, capsys, command, shown):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())  # help text wraps at any space
+        for text in shown:
+            assert text in out
 
     def test_unknown_subcommand_exits_1(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -566,10 +627,13 @@ class TestExitPath:
         read, write = os.pipe()
         os.close(read)
         try:
-            proc = _command(launcher, _EIGEN, env=env, stdout=write, stderr=subprocess.DEVNULL)
+            proc = _command(launcher, _EIGEN, env=env, stdout=write, stderr=subprocess.PIPE,
+                            text=True)
         finally:
             os.close(write)
-        assert proc.returncode != 0
+        assert proc.returncode == 1
+        assert proc.stderr == "nlsparse: error: cannot write to standard output (broken pipe)\n"
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
     def test_closed_stdout_with_an_output_file_exits_0(self, launcher, tmp_path):
         out = tmp_path / "report.txt"
