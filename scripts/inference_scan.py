@@ -2,20 +2,21 @@
 
 Usage, from the root of a source checkout::
 
-    python scripts/inference_scan.py --seed 20240817 --plan 128:500,512:200 --threads 2
+    python scripts/inference_scan.py --seed 20240817 --threads 2
 
 The setting is the acceptance suite's: n = 200, s* = 10, Toeplitz 0.95, the
 paper link f(x) = 2x + cos x, beta* = mu on the support, lambda at the
-default rule and rho = ``--scale`` * sigma * sqrt(log(d)/n) (default: the
-library's ``RHO_SCALE``). For each
-``d:trials`` of ``--plan`` and each mu in {0, 0.5}, every trial is fitted
-once, and coordinates 11 (null) and 1 (support) are decorrelated at the
-null-imposed point (score test) and at the fitted point (Wald).
+default rule and rho = RHO_SCALE * sigma * sqrt(log(d)/n), the library's
+rule. For each (d, trials) of ``PLAN`` and each mu in {0, 0.5}, every trial
+is fitted once, and coordinates 11 (null) and 1 (support) are decorrelated
+at the null-imposed point (score test) and at the fitted point (Wald).
 
-With r = mean(resid^2), q = mean(f'(u)^2 (x'w)^2) and D0 = h_aa - h_ag d_hat
-at the fitted point, the variance of sqrt(n) alpha_bar is estimated three
-ways: A = r/q (plug-in), B = r q / D0^2 (sandwich) and C = r/D0 (model-based,
-the library's). The score variance is q r at the null-imposed point.
+The score test and the Wald interval with variance C = r/D0 are the
+library's own (``_score_result`` and ``_wald_result``). With r =
+mean(resid^2), q = mean(f'(u)^2 (x'w)^2) and D0 = h_aa - h_ag d_hat at the
+fitted point, the script adds two other estimates of the variance of
+sqrt(n) alpha_bar around the library's alpha_bar: A = r/q (plug-in) and
+B = r q / D0^2 (sandwich).
 
 Prints one markdown table per d, with each acceptance band:
 
@@ -25,8 +26,9 @@ Prints one markdown table per d, with each acceptance band:
 - 13: score type-I at (11, 0.5) at most 0.08, over the first 200 trials;
 - 14: coverage at (1, 0.5) in [0.92, 0.98].
 
-A trial whose fit or decorrelation raises, or whose variance estimate is
-not positive and finite, counts for no rate it cannot give.
+A trial whose fit, decorrelation or test raises counts for no rate it
+cannot give; a Wald test that raises takes the trial out of all three Wald
+columns, and an A or B that is not positive and finite out of its own.
 """
 
 from __future__ import annotations
@@ -44,19 +46,30 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from nlsparse import FitConfig, builtin_link, fit  # noqa: E402
 from nlsparse.errors import NlsparseError  # noqa: E402
-from nlsparse.inference import _decorrelate, normal_quantile  # noqa: E402
+from nlsparse.inference import (  # noqa: E402
+    InferenceConfig, _decorrelate, _score_result, _wald_result, normal_quantile)
 from nlsparse.simulate import (  # noqa: E402
     RHO_SCALE, ConstantBeta, SimConfig, _map_trials, generate)
 
+PLAN = ((128, 500), (512, 200))  # (d, trials per mu)
 MUS = (0.0, 0.5)
 COORDINATES = (11, 1)
 LEVEL = 0.05
 CRITERION_13_TRIALS = 200
 
 
+def _interval(alpha, var, n):
+    """alpha -+ z sqrt(var/n), or None when var is not positive and finite."""
+    if not (math.isfinite(var) and var > 0.0):
+        return None
+    half = normal_quantile(1.0 - LEVEL / 2.0) * math.sqrt(var / n)
+    return alpha - half, alpha + half
+
+
 def _trial(job):
-    """{coordinate: (score statistic, alpha_bar, variances A, B, C, ms)}; a coordinate
-    whose fit or decorrelation raised is left out."""
+    """{coordinate: {"score": rejects, "wald": (interval A, B, C), "ms": ms}} for one
+    trial; a test that raised is left out of its entry, and a coordinate whose
+    decorrelation raised is left out."""
     config, trial, rho = job
     data, _ = generate(config, trial)
     link = builtin_link(config.link_name)
@@ -66,17 +79,28 @@ def _trial(job):
         return {}
     out = {}
     for j in COORDINATES:
+        test = InferenceConfig(coordinate=j, rho=rho, significance=LEVEL)
         beta_tilde = beta_hat.copy()
         beta_tilde[j - 1] = 0.0
         started = time.perf_counter()
         try:
-            f_null, _, q_null, r_null, _ = _decorrelate(link, data, beta_tilde, j, rho)
-            f_s, d0, q, r, _ = _decorrelate(link, data, beta_hat, j, rho)
+            pieces_null = _decorrelate(link, data, beta_tilde, j, rho)
+            pieces = _decorrelate(link, data, beta_hat, j, rho)
         except NlsparseError:
             continue
-        ms = 1e3 * (time.perf_counter() - started)
-        score = math.sqrt(data.n) * f_null / math.sqrt(q_null * r_null)
-        out[j] = (score, float(beta_hat[j - 1]) - f_s / d0, r / q, r * q / d0 ** 2, r / d0, ms)
+        entry = out[j] = {"ms": 1e3 * (time.perf_counter() - started)}
+        try:
+            entry["score"] = _score_result(data.n, test, pieces_null).reject
+        except NlsparseError:
+            pass
+        try:
+            wald = _wald_result(data.n, test, beta_hat, pieces)
+        except NlsparseError:
+            continue
+        _, d0, q, r, _ = pieces
+        entry["wald"] = (_interval(wald.alpha_bar, r / q, data.n),
+                         _interval(wald.alpha_bar, r * q / d0 ** 2, data.n),
+                         (wald.ci_low, wald.ci_high))
     return out
 
 
@@ -84,58 +108,48 @@ def _rate(flags):
     return float(np.mean(flags)) if flags else float("nan")
 
 
-def scan(d, trials, seed, scale, threads):
+def scan(d, trials, seed, threads):
     """{mu: [per-trial dict of _trial]} for both mu at dimension d."""
     runs = {}
     for mu in MUS:
         config = SimConfig(n=200, d=d, s_star=10, noise_sd=1.0, toeplitz_rho=0.95,
                            link_name="paper", seed=seed, trials=trials,
                            beta_mode=ConstantBeta(mu))
-        rho = config.rho_rule(scale)
+        rho = config.rho_rule(RHO_SCALE)
         runs[mu] = _map_trials(_trial, [(config, t, rho) for t in range(trials)], threads)
     return runs
 
 
-def bands(runs, n=200):
+def bands(runs):
     """The rows of the table: (criterion, cell, band, value per estimate, pass per estimate)."""
-    z = normal_quantile(1.0 - LEVEL / 2.0)
-
     def score_rejects(mu, j, limit=None):
-        return [abs(o[j][0]) > z for o in runs[mu][:limit] if j in o]
+        return [o[j]["score"] for o in runs[mu][:limit] if "score" in o.get(j, {})]
 
-    def wald(mu, j, v, truth):
-        """(rejects H0: beta_j = 0, covers the truth) per trial with a valid variance v."""
-        out = []
-        for o in runs[mu]:
-            if j not in o:
-                continue
-            alpha, var = o[j][1], o[j][2 + v]
-            if not (math.isfinite(var) and var > 0.0):
-                continue
-            half = z * math.sqrt(var / n)
-            out.append((not alpha - half <= 0.0 <= alpha + half,
-                        alpha - half <= truth <= alpha + half))
-        return out
-
-    def wald_rates(mu, j, truth, which):
-        return [_rate([w[which] for w in wald(mu, j, v, truth)]) for v in range(3)]
+    def wald_rates(mu, j, truth, covers):
+        """Per estimate, the rate of covering the truth (covers) or of rejecting H0: beta_j = 0."""
+        rates = []
+        for v in range(3):
+            intervals = [o[j]["wald"][v] for o in runs[mu] if "wald" in o.get(j, {})]
+            rates.append(_rate([low <= truth <= high if covers else not low <= 0.0 <= high
+                                for low, high in filter(None, intervals)]))
+        return rates
 
     rows = [
         ("08 score type-I", "(11, 0)", (0.03, 0.08), [_rate(score_rejects(0.0, 11))]),
-        ("08 Wald type-I", "(11, 0)", (0.03, 0.08), wald_rates(0.0, 11, 0.0, 0)),
+        ("08 Wald type-I", "(11, 0)", (0.03, 0.08), wald_rates(0.0, 11, 0.0, False)),
         ("09 score power", "(1, 0.5)", (0.9, 1.0), [_rate(score_rejects(0.5, 1))]),
-        ("09 Wald power", "(1, 0.5)", (0.9, 1.0), wald_rates(0.5, 1, 0.5, 0)),
-        ("10 coverage", "(1, 0)", (0.92, 0.98), wald_rates(0.0, 1, 0.0, 1)),
+        ("09 Wald power", "(1, 0.5)", (0.9, 1.0), wald_rates(0.5, 1, 0.5, False)),
+        ("10 coverage", "(1, 0)", (0.92, 0.98), wald_rates(0.0, 1, 0.0, True)),
         ("13 score type-I", "(11, 0.5)", (0.0, 0.08),
          [_rate(score_rejects(0.5, 11, CRITERION_13_TRIALS))]),
-        ("14 coverage", "(1, 0.5)", (0.92, 0.98), wald_rates(0.5, 1, 0.5, 1)),
+        ("14 coverage", "(1, 0.5)", (0.92, 0.98), wald_rates(0.5, 1, 0.5, True)),
     ]
     return [(name, cell, band, values, [band[0] <= v <= band[1] for v in values])
             for name, cell, band, values in rows]
 
 
-def _table(d, trials, seed, scale, runs, elapsed):
-    lines = [f"d = {d}, {trials} trials per mu, seed {seed}, rho scale {scale:g} "
+def _table(d, trials, seed, runs, elapsed):
+    lines = [f"d = {d}, {trials} trials per mu, seed {seed}, rho scale {RHO_SCALE:g} "
              f"({elapsed:.0f} s wall)", "",
              "| band | (coordinate, mu) | range | score or Wald A | Wald B | Wald C | "
              "score or C passes |", "|---|---|---|---|---|---|---|"]
@@ -143,28 +157,24 @@ def _table(d, trials, seed, scale, runs, elapsed):
         cols = [f"{v:.3f}" for v in values] + [""] * (3 - len(values))
         lines.append(f"| {name} | {cell} | [{lo:g}, {hi:g}] | {' | '.join(cols)} | "
                      f"{'yes' if passed[-1] else 'NO'} |")
-    ms = [o[1][5] for o in runs[0.5] if 1 in o]
-    failed = sum(len(COORDINATES) - len(o) for mu in MUS for o in runs[mu])
+    ms = [o[1]["ms"] for o in runs[0.5] if 1 in o]
+    failed = sum(2 if j not in o else ("score" not in o[j]) + ("wald" not in o[j])
+                 for mu in MUS for o in runs[mu] for j in COORDINATES)
     lines += ["", f"median ms per coordinate at (1, 0.5), both points: {np.median(ms):.0f}; "
-                  f"failed coordinate-trials: {failed}"]
+                  f"tests that raised: {failed}"]
     return "\n".join(lines)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=20240817)
-    parser.add_argument("--plan", default="128:500,512:200",
-                        help="comma-separated d:trials (default %(default)s)")
-    parser.add_argument("--scale", type=float, default=RHO_SCALE,
-                        help="rho scale (default %(default)g)")
     parser.add_argument("--threads", type=int, default=2)
     args = parser.parse_args(argv)
     all_pass = True
-    for item in args.plan.split(","):
-        d, trials = map(int, item.split(":"))
+    for d, trials in PLAN:
         started = time.perf_counter()
-        runs = scan(d, trials, args.seed, args.scale, args.threads)
-        print(_table(d, trials, args.seed, args.scale, runs, time.perf_counter() - started))
+        runs = scan(d, trials, args.seed, args.threads)
+        print(_table(d, trials, args.seed, runs, time.perf_counter() - started))
         print(flush=True)
         all_pass &= all(passed[-1] for *_, passed in bands(runs))
     return 0 if all_pass else 1

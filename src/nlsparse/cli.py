@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
 
@@ -39,6 +40,7 @@ def _list_of(kind):
         return [kind(tok) for tok in text.split(",") if tok.strip()]
 
     parse.__name__ = f"comma-separated {kind.__name__}s"
+    parse.takes_list = True  # a --config file may give it a JSON list
     return parse
 
 
@@ -135,7 +137,9 @@ def _build_parser():
                        help="test level for table (default %(default)g)")
     p_sim.add_argument("--type1-coordinate", dest="type1_coordinate", type=int,
                        help="null-true coordinate for the table (default s_star+1)")
-    p_sim.add_argument("--power-coordinate", dest="power_coordinate", type=int, default=1,
+    p_sim.add_argument("--power-coordinate", dest="power_coordinate", type=int,
+                       default=inspect.signature(sim.run_inference_table)
+                       .parameters["power_coordinate"].default,
                        help="null-false coordinate for the table (default %(default)s)")
     p_sim.add_argument("--threads", type=int,
                        help="at most this many processes (>= 1), each trial on one BLAS thread "
@@ -176,7 +180,8 @@ def _config_defaults(path, command):
 
     Each value is read by its option's ``type`` from the text its flag would
     hold, a JSON list as comma-separated text; null keeps the default. A key
-    that names no option is an input error.
+    that names no option, and a list for an option that takes one value, are
+    input errors.
     """
     import json
 
@@ -202,6 +207,8 @@ def _config_defaults(path, command):
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
         try:
             if kind is str and not isinstance(value, str):  # a path or a name, not a number
+                raise ValueError
+            if isinstance(value, list) and not getattr(kind, "takes_list", False):
                 raise ValueError
             values[key] = kind(text)
         except ValueError:

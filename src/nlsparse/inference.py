@@ -198,19 +198,14 @@ def _score_result(n, config, pieces):
 
 
 def _wald_result(n, config, beta_hat, pieces):
-    f_s, d0, factor_design, factor_resid, dres = pieces
+    f_s, d0, _, factor_resid, dres = pieces
     j = config.coordinate
     if abs(d0) <= 1e-12:
         raise SingularDenominatorError(f"one-step denominator {d0:.3e} at coordinate {j}")
     alpha_bar = float(beta_hat[j - 1]) - f_s / d0
-    if factor_design <= 0.0 or factor_resid <= 0.0:
-        raise DegenerateVarianceError(
-            f"degenerate Wald variance at coordinate {j} "
-            f"(design factor {factor_design}, residual factor {factor_resid})"
-        )
     var_w = factor_resid / d0
     if not np.isfinite(var_w) or var_w <= 0.0:
-        raise DegenerateVarianceError(f"degenerate Wald variance ({var_w})")
+        raise DegenerateVarianceError(f"degenerate Wald variance ({var_w}) at coordinate {j}")
     sigma_w = math.sqrt(var_w)
 
     statistic = math.sqrt(n) * (alpha_bar - config.null_value) / sigma_w
@@ -248,8 +243,8 @@ def wald_estimate(link: LinkFunction, data: Dataset, fit: FitResult, config: Inf
     ``D0 = h_aa - h_ag . d_hat``. The variance estimate of sqrt(n) alpha_bar
     is the model-based ``r / D0``, with ``r = mean[resid^2]``, so the CI is
     ``alpha_bar -+ z * sigma_w / sqrt(n)`` with ``sigma_w = sqrt(r / D0)``.
-    A D0 within 1e-12 of zero raises :class:`SingularDenominatorError`, and a
-    negative one :class:`DegenerateVarianceError`.
+    A D0 within 1e-12 of zero raises :class:`SingularDenominatorError`; a
+    negative one, or residuals that are all zero, :class:`DegenerateVarianceError`.
     """
     beta_hat, _ = _points(data, fit, config)
     pieces = _decorrelate(link, data, beta_hat, config.coordinate, config.rho)

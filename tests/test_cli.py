@@ -338,6 +338,8 @@ class TestSimulateCommand:
         ({"n": "abc", "d": 8, "s_star": 2}, "n"),
         ({"n": 40, "d": 8, "s_star": 2, "threads": "two"}, "threads"),
         ({"n": 40, "d": 8.5, "s_star": 2}, "d"),
+        ({"n": 40, "d": 8, "s_star": 2, "trials": [2]}, "trials"),
+        ({"n": 40, "d": 8, "s_star": 2, "rho_rule": [0.1]}, "rho_rule"),
     ])
     def test_config_value_of_the_wrong_type_exits_1(self, capsys, tmp_path, config, key):
         cfg = tmp_path / "sim.json"
