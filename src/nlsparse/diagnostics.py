@@ -87,7 +87,7 @@ def sparse_eigen_report(M, k: int, s_star: Optional[int] = None,
     rho_minus, rho_plus = sparse_eigenvalues(M, k)
     condition = None
     if s_star is not None and k_star is not None:
-        condition = check_assumption1(M, s_star, k_star)
+        condition = _assumption1(M, s_star, k_star, {k: (rho_minus, rho_plus)})
     return SparseEigenReport(
         k=k,
         rho_minus=rho_minus,
@@ -100,16 +100,22 @@ def sparse_eigen_report(M, k: int, s_star: Optional[int] = None,
 def check_assumption1(M, s_star: int, k_star: int) -> bool:
     """Design-regularity check: rho_+(k*) / rho_-(2k* + s*) <= 1 + 0.5 k*/s*
     and k* >= 2 s*. False when rho_-(2k* + s*) is zero (degenerate design)."""
-    M = _checked_symmetric(M)
+    return _assumption1(_checked_symmetric(M), s_star, k_star, {})
+
+
+def _assumption1(M, s_star, k_star, known):
+    """:func:`check_assumption1` of a checked matrix; ``known`` maps a k to
+    its (rho_minus, rho_plus), computed already, so it is not enumerated again."""
     d = M.shape[0]
     if s_star < 1 or k_star < 1:
         raise InputError("s_star and k_star must be positive")
-    if 2 * k_star + s_star > d:
-        raise InputError(f"2*k_star + s_star = {2 * k_star + s_star} exceeds d = {d}")
+    wide = 2 * k_star + s_star
+    if wide > d:
+        raise InputError(f"2*k_star + s_star = {wide} exceeds d = {d}")
     if k_star < 2 * s_star:
         return False
-    _, rho_plus = sparse_eigenvalues(M, k_star)
-    rho_minus, _ = sparse_eigenvalues(M, 2 * k_star + s_star)
+    _, rho_plus = known.get(k_star) or sparse_eigenvalues(M, k_star)
+    rho_minus, _ = known.get(wide) or sparse_eigenvalues(M, wide)
     if rho_minus <= 0.0:
         return False
     return bool(rho_plus / rho_minus <= 1.0 + 0.5 * k_star / s_star)

@@ -13,6 +13,13 @@ many worker processes run the trials. Every trial runs with one BLAS thread,
 so experiment CSV output is byte-identical across reruns, worker counts and
 BLAS thread defaults.
 
+The estimation sweep and the baseline draw a trial once, at the largest n of
+the configs that differ only in n, and give each smaller n the first n rows
+of its design, with their response: the data :func:`generate` draws at that
+n. They fit a trial's sizes by increasing n, each from the previous size's
+estimate, which saves solver steps; a size's estimate then depends, within
+the solver tolerance, on the other sizes in its grid.
+
 Trials run on up to ``threads`` processes (:func:`_map_trials`). One trial,
 one thread, or a system without ``os.fork`` runs them all in the calling
 process. Otherwise the caller pins one BLAS thread, writes every trial's
@@ -197,17 +204,22 @@ def generate(config: SimConfig, trial: int):
     Returns ``(Dataset, SparsityGroundTruth)``. The same (config.seed, trial)
     pair always yields bitwise identical output.
     """
-    link = builtin_link(config.link_name)
     X = sample_design(
         config.n, config.d, config.toeplitz_rho, _stream_rng(config.seed, trial, _STREAM_DESIGN)
     )
     truth = make_beta_star(
         config.d, config.s_star, config.beta_mode, _stream_rng(config.seed, trial, _STREAM_BETA)
     )
-    noise = _stream_rng(config.seed, trial, _STREAM_NOISE).standard_normal(config.n)
-    y = link.eval(X @ truth.beta_star) + config.noise_sd * noise
     X.flags.writeable = False  # the Dataset then holds X itself, not a copy
-    return Dataset(design=X, response=y), truth
+    return _dataset(config, trial, X, truth.beta_star), truth
+
+
+def _dataset(config: SimConfig, trial: int, X: np.ndarray, beta_star: np.ndarray) -> Dataset:
+    """The Dataset of design X with response y = f(X beta*) + sigma * z, z the
+    first n draws of the trial's noise stream."""
+    noise = _stream_rng(config.seed, trial, _STREAM_NOISE).standard_normal(config.n)
+    y = builtin_link(config.link_name).eval(X @ beta_star) + config.noise_sd * noise
+    return Dataset(design=X, response=y)
 
 
 def default_threads() -> int:
@@ -262,6 +274,8 @@ def _map_trials(worker, jobs, threads):
     threads = default_threads() if threads is None else threads
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
+    if not jobs:
+        return []
     forks = min(threads, len(jobs)) - 1 if hasattr(os, "fork") else 0
     previous, children, results, queue, parent = _set_blas_threads(1), {}, {}, None, os.getpid()
     try:
@@ -395,20 +409,39 @@ def _cv_lasso(data: Dataset, folds: int, grid_size: int):
 
 
 def _estimation_trial(job):
-    """The (l2, l1) errors of one trial's fit, followed by those of the lasso
-    on link-inverted responses when ``cv = (folds, grid_size)`` is set; or the
-    first failure's message."""
-    config, trial, fit_config, cv = job
-    data, truth = generate(config, trial)
-    link = builtin_link(config.link_name)
-    try:
-        estimates = [fit(link, data, fit_config).beta_hat]
-        if cv is not None:
-            inverted = Dataset(design=data.design, response=invert_link(link, data.response))
-            estimates.append(_cv_lasso(inverted, *cv)[0])
-    except NlsparseError as exc:
-        return str(exc)
-    return [_errors(estimate, truth) for estimate in estimates]
+    """One trial at every size of a group of configs that differ only in n
+    (``sizes``, by increasing n): per size, the (l2, l1) errors of the fit,
+    followed by those of the lasso on link-inverted responses when
+    ``cv = (folds, grid_size)`` is set; or the first failure's message.
+
+    The trial is drawn once, at the largest n. A smaller size takes the first
+    n rows of that design, which are the design :func:`generate` draws at
+    that n (its stream fills rows in order), and computes their response as
+    generate does. The response is not sliced: at n = 1 numpy's product takes
+    another kernel, whose last bit can differ. The first size is fitted from
+    zero, each later one from the estimate of the last size whose fit
+    returned. The baseline inverts and cross-validates each size's own rows.
+    """
+    sizes, trial, lambda_scale, cv = job
+    data, truth = generate(sizes[-1], trial)
+    link = builtin_link(sizes[-1].link_name)
+    init, out = None, []
+    for config in sizes:
+        sample = data if config.n == data.n else _dataset(
+            config, trial, data.design[:config.n], truth.beta_star)
+        try:
+            beta_hat = fit(link, sample, FitConfig(lam=config.lambda_rule(lambda_scale),
+                                                   init=init)).beta_hat
+            init, estimates = beta_hat, [beta_hat]
+            if cv is not None:
+                inverted = Dataset(design=sample.design,
+                                   response=invert_link(link, sample.response))
+                estimates.append(_cv_lasso(inverted, *cv)[0])
+        except NlsparseError as exc:
+            out.append(str(exc))
+            continue
+        out.append([_errors(estimate, truth) for estimate in estimates])
+    return out
 
 
 def _mean_sd(values):
@@ -421,19 +454,28 @@ def _mean_sd(values):
 
 
 def _estimation_rows(configs, lambda_scale, cv, threads):
-    """One row per config: mean and sd of each estimator's errors over the
-    trials where nothing failed (the baseline's under ``base_`` when ``cv`` is
-    set), and the count of the others in ``failures``."""
-    jobs = []
-    for config in configs:
-        fit_config = FitConfig(lam=config.lambda_rule(lambda_scale))
-        jobs += [(config, trial, fit_config, cv) for trial in range(config.trials)]
+    """One row per config, in the caller's order: mean and sd of each
+    estimator's errors over the trials where nothing failed (the baseline's
+    under ``base_`` when ``cv`` is set), and the count of the others in
+    ``failures``. Configs that differ only in n share one job per trial
+    (:func:`_estimation_trial`); a size listed twice is fitted once."""
+    if len(configs) == 0:
+        raise InputError("configs must hold at least one SimConfig")
+    groups = {}  # the distinct configs that differ only in n, by increasing n
+    for config in sorted(dict.fromkeys(configs), key=lambda config: config.n):
+        groups.setdefault(replace(config, n=1), []).append(config)
+    jobs = [(tuple(sizes), trial, lambda_scale, cv)
+            for key, sizes in groups.items() for trial in range(key.trials)]
     results = iter(_map_trials(_estimation_trial, jobs, threads))
+    records = {}  # config -> its result in every trial
+    for key, sizes in groups.items():
+        per_trial = list(islice(results, key.trials))
+        for k, config in enumerate(sizes):
+            records[config] = [out[k] for out in per_trial]
     row_type, prefixes = (SweepRow, ("",)) if cv is None else (BaselineRow, ("", "base_"))
     rows = []
     for config in configs:
-        records = list(islice(results, config.trials))
-        good = [r for r in records if not isinstance(r, str)]
+        good = [r for r in records[config] if not isinstance(r, str)]
         columns = {}
         for side, prefix in enumerate(prefixes):
             for norm, name in enumerate(("l2", "l1")):
@@ -445,7 +487,7 @@ def _estimation_rows(configs, lambda_scale, cv, threads):
             n=config.n,
             effective_sample=config.effective_sample,
             trials=config.trials,
-            failures=len(records) - len(good),
+            failures=config.trials - len(good),
             **columns,
         ))
     return rows
@@ -455,7 +497,8 @@ def run_estimation_sweep(configs: Sequence[SimConfig], lambda_scale: float = LAM
                          threads: Optional[int] = None):
     """Fit every trial of every config at lambda = lambda_scale * sigma *
     sqrt(log d / n); summarize l2/l1 errors per grid point. Individual trial
-    failures are counted, not fatal."""
+    failures are counted, not fatal. Raises :class:`InputError` when
+    ``configs`` is empty."""
     return _estimation_rows(configs, lambda_scale, None, threads)
 
 
@@ -468,8 +511,8 @@ def run_baseline_comparison(configs: Sequence[SimConfig], lambda_scale: float = 
     takes the exact lasso solution at a cross-validated lambda. Trials
     where either side fails are excluded from both means (pairing preserved)
     and counted in ``failures``. Raises :class:`InputError`, before any
-    trial runs, unless ``2 <= cv_folds <= n`` at every config and
-    ``cv_grid_size >= 1``.
+    trial runs, unless ``configs`` is not empty, ``2 <= cv_folds <= n`` at
+    every config and ``cv_grid_size >= 1``.
     """
     if cv_grid_size < 1:
         raise InputError(f"cv_grid_size must be >= 1, got {cv_grid_size}")

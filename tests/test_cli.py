@@ -431,6 +431,23 @@ class TestCheckCommand:
         doc, _ = parse_doc(out.replace("PASS", "verdict=PASS"))
         assert doc["condition_holds"] == "true"
 
+    def test_sparse_eigen_enumerates_the_k_star_supports_once(self, capsys, monkeypatch):
+        argv = ["check", "--kind", "sparse-eigen", "--d", "10", "--toeplitz-rho", "0.5",
+                "--s-star", "2", "--k-star", "4"]
+        expected = run_cli(capsys, *argv)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert run_cli(capsys, *argv) == expected
+        # k defaults to k* = 4: C(10, 4) = 210 supports, then C(10, 10) = 1 at 2k* + s*
+        assert len(calls) == 211
+        assert expected[0] == 2 and "condition_holds=false" in expected[1]
+
     def test_sparse_eigen_cap_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "check", "--kind", "sparse-eigen", "--d", "30",
                                "--toeplitz-rho", "0.5", "--k", "2")

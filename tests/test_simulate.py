@@ -341,6 +341,109 @@ class TestFailureAccounting:
             assert all(np.isnan(getattr(row, name)) for name in summaries)
 
 
+@pytest.fixture
+def fits(monkeypatch):
+    """Records ``(data, config, result)`` of every ``nlsparse.simulate.fit``
+    call; a call whose data ``fits.fail(data)`` holds for raises
+    NumericalError instead, with result None. Run the experiment on one
+    thread, which keeps every trial in this process."""
+    import nlsparse.simulate as sim
+
+    real = sim.fit
+    calls = SimpleNamespace(log=[], fail=lambda data: False)
+
+    def recording(link, data, config):
+        if calls.fail(data):
+            calls.log.append((data, config, None))
+            raise NumericalError("fit failed")
+        calls.log.append((data, config, real(link, data, config)))
+        return calls.log[-1][2]
+
+    monkeypatch.setattr(sim, "fit", recording)
+    return calls
+
+
+class TestSizeChain:
+    """A trial is drawn once per group of configs that differ only in n, and
+    its sizes are fitted by increasing n, each from the previous estimate."""
+
+    @pytest.mark.parametrize("d", [5, 128, 512])
+    def test_each_size_fits_the_data_generate_draws_at_that_n(self, fits, d):
+        fits.fail = lambda data: True  # the data reach fit; no fit runs
+        sizes = (1, 7, 13, 100, 333, 1001)
+        base = SimConfig(n=1, d=d, s_star=3, seed=61, trials=2)
+        run_estimation_sweep([replace(base, n=n) for n in sizes], threads=1)
+        assert [data.n for data, _, _ in fits.log] == list(sizes) * base.trials
+        for k, (data, _, _) in enumerate(fits.log):
+            expected, _ = generate(replace(base, n=data.n), k // len(sizes))
+            assert np.array_equal(data.design, expected.design), (data.n, k)
+            assert np.array_equal(data.response, expected.response), (data.n, k)
+
+    def test_chained_and_zero_start_fits_are_stationary_and_agree(self, fits):
+        # the paper's premise, in criterion 05's setting: the solver's start
+        # changes the number of steps, not the stationary point it reaches
+        configs = [SimConfig(n=n, d=128, s_star=5, noise_sd=1.0, seed=99, trials=10)
+                   for n in (100, 200, 400, 800, 1600)]
+        run_estimation_sweep(configs, threads=1)
+        assert len(fits.log) == 50
+        link, worst = builtin_link("paper"), 0.0
+        for k, (data, config, chained) in enumerate(fits.log):
+            previous = fits.log[k - 1][2].beta_hat if k % 5 else None
+            assert (config.init is None) == (previous is None)
+            if previous is not None:
+                assert np.array_equal(config.init, previous)
+            cold = fit(link, data, replace(config, init=None))
+            for result in (chained, cold):
+                assert result.converged and result.kkt_residual <= 10 * config.tol
+            gap = np.linalg.norm(chained.beta_hat - cold.beta_hat)
+            worst = max(worst, gap / np.linalg.norm(cold.beta_hat))
+        assert worst <= 2e-3
+
+    def test_a_size_after_a_failed_fit_starts_from_the_last_estimate(self, fits):
+        fits.fail = lambda data: data.n == 60
+        rows = run_estimation_sweep(
+            [SimConfig(n=n, d=12, s_star=2, seed=62, trials=1) for n in (40, 60, 80)],
+            threads=1)
+        assert [row.failures for row in rows] == [0, 1, 0]
+        (_, first, at_40), _, (_, last, _) = fits.log
+        assert first.init is None and np.array_equal(last.init, at_40.beta_hat)
+
+    @pytest.mark.parametrize("grid", [  # (s*, n) points
+        [(2, 120), (2, 40), (2, 80)],
+        [(2, 80), (2, 40), (2, 120), (2, 40), (2, 80)],
+        [(3, 80), (2, 120), (3, 40), (2, 40), (2, 80), (3, 80)],
+    ])
+    def test_rows_follow_the_grid_and_match_the_ascending_grid(self, fits, grid):
+        def rows(points):
+            configs = [SimConfig(n=n, d=16, s_star=s, seed=63, trials=3) for s, n in points]
+            return run_estimation_sweep(configs, threads=1)
+
+        ascending = dict(zip(sorted(set(grid)), rows(sorted(set(grid)))))
+        fits.log.clear()
+        assert rows(grid) == [ascending[point] for point in grid]
+        assert len(fits.log) == 3 * len(set(grid))  # each size once per trial
+
+    def test_baseline_rows_follow_the_grid(self):
+        def rows(ns):
+            configs = [SimConfig(n=n, d=12, s_star=2, seed=64, trials=2) for n in ns]
+            return run_baseline_comparison(configs, threads=1, **_CV)
+
+        ascending = dict(zip((40, 60), rows((40, 60))))
+        assert rows((60, 40, 60)) == [ascending[n] for n in (60, 40, 60)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("run", [run_estimation_sweep, run_baseline_comparison])
+    def test_no_configs_rejected_before_any_trial(self, monkeypatch, run, threads):
+        import nlsparse.simulate as sim
+
+        def no_trials(*args):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr(sim, "_estimation_trial", no_trials)
+        with pytest.raises(InputError, match="at least one SimConfig"):
+            run([], threads=threads)
+
+
 class TestInferenceTable:
     def test_power_grows_with_signal(self):
         cfg = SimConfig(n=80, d=16, s_star=3, noise_sd=1.0, seed=41, trials=20)
@@ -706,6 +809,17 @@ class TestForkedMap:
             _map_trials(one_job_each.wrap(job), [0, 1], threads=2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_no_jobs_pin_no_blas_and_fork_nothing(self, monkeypatch, threads):
+        import nlsparse.simulate as sim
+
+        def refuse(*args):
+            raise AssertionError("an empty map pinned BLAS or forked")
+
+        monkeypatch.setattr(sim, "_set_blas_threads", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+        assert sim._map_trials(abs, [], threads=threads) == []
 
     def test_without_fork_every_job_runs_in_process(self, monkeypatch):
         from nlsparse.simulate import _map_trials
