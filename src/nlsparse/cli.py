@@ -427,6 +427,8 @@ def _cmd_check(args) -> int:
     from .diagnostics import check_gradients, sparse_eigen_report
 
     if args.kind == "gradients":
+        if args.seed < 0:
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([args.seed])))
         report = check_gradients(builtin_link(args.link), n=args.n,
                                  d=5 if args.d is None else args.d, trials=args.trials, rng=rng)

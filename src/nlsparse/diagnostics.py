@@ -50,8 +50,8 @@ class GradientCheckReport:
 
 def _checked_symmetric(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise InputError(f"expected a nonempty square matrix, got shape {M.shape}")
     if float(np.abs(M - M.T).max()) > 1e-10:
         raise InputError("matrix is not symmetric within 1e-10")
     return M

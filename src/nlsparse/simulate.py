@@ -163,7 +163,9 @@ def _stream_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
 
 
 def toeplitz_covariance(d: int, rho: float) -> np.ndarray:
-    """The d x d matrix with entries rho^|j-k|."""
+    """The d x d matrix with entries rho^|j-k|, for rho in [0, 1)."""
+    if not 0.0 <= rho < 1.0:
+        raise InputError(f"toeplitz_rho must lie in [0, 1), got {rho}")
     idx = np.arange(d)
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
@@ -382,30 +384,28 @@ def _errors(estimate, truth):
 def _cv_lasso(data: Dataset, folds: int, grid_size: int):
     """The lasso estimate at a lambda picked by k-fold cross-validation.
 
-    The grid is ``grid_size`` log-spaced values spanning
-    [1e-4, 1] * sd(z) * sqrt(log d / n), from the largest down. On each
-    training fold one walk of the exact lasso path
-    (:func:`nlsparse.solver._lasso_path`) gives the solution at every grid
-    point, each certified by its KKT residual; the held-out mean squared
-    error is summed over folds. Folds are contiguous index blocks, which keeps
-    the selection deterministic. The returned estimate comes from one more
-    walk of the path, on the full data down to the selected lambda, so it is
-    the exact, KKT-certified lasso solution there.
+    The grid is ``grid_size`` log-spaced values spanning [1e-4, 1] *
+    sd(z) * sqrt(log d / n), from the largest down. On each training fold, with
+    X'X and X'z less the held-out block's, one walk of the exact lasso path
+    (:func:`nlsparse.solver._lasso_path`) gives the KKT-certified solution at
+    every grid point; the held-out mean squared error is summed over folds.
+    Folds are contiguous index blocks, which keeps the selection deterministic.
+    One more walk, on the full data down to the selected lambda, gives the
+    returned estimate, the exact lasso solution there.
     """
     n, d = data.design.shape
     base = max(float(np.std(data.response, ddof=1)), 1e-8) * np.sqrt(np.log(d) / n)
     grid = np.geomspace(base, 1e-4 * base, grid_size)
-    fold_idx = np.array_split(np.arange(n), folds)
+    gram, corr = data.design.T @ data.design, data.design.T @ data.response
 
     cv_mse = np.zeros(grid_size)
-    for val_rows in fold_idx:
-        mask = np.ones(n, dtype=bool)
-        mask[val_rows] = False
-        path = _lasso_path(data.design[mask], data.response[mask], grid)
-        pred_err = data.response[val_rows, None] - data.design[val_rows] @ path.T
-        cv_mse += np.sum(pred_err * pred_err, axis=0) / val_rows.size
+    for val in np.array_split(np.arange(n), folds):
+        X_v, z_v, n_t = data.design[val], data.response[val], n - val.size
+        path = _lasso_path((gram - X_v.T @ X_v) / n_t, (corr - X_v.T @ z_v) / n_t, grid)
+        pred_err = z_v[:, None] - X_v @ path.T
+        cv_mse += np.sum(pred_err * pred_err, axis=0) / val.size
     best = int(np.argmin(cv_mse))  # ties resolve to the strongest penalty
-    return _lasso_path(data.design, data.response, grid[:best + 1])[best], float(grid[best])
+    return _lasso_path(gram / n, corr / n, grid[:best + 1])[best], float(grid[best])
 
 
 def _estimation_trial(job):

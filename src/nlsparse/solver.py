@@ -262,21 +262,21 @@ _KKT_TOL = 1e-6
 
 # Non-finite values surface in the KKT certificate, so numpy's warnings are off.
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _lasso_path(design, response, grid) -> np.ndarray:
-    """Exact identity-link lasso solutions at every lambda of a decreasing grid.
+def _lasso_path(gram, corr, grid) -> np.ndarray:
+    """Exact lasso solutions from (G, c) at every lambda of a decreasing grid.
 
-    Walks the piecewise-linear path of min (1/2n)||y - X beta||^2 +
-    lam ||beta||_1 (the homotopy / LARS-lasso of Osborne, Presnell & Turlach
-    2000 and Efron, Hastie, Johnstone & Tibshirani 2004) from lam_max =
-    max|X'y|/n down to ``grid[-1]``. With G = X'X/n and c = X'y/n, the active
-    set A and its signs s are fixed between breakpoints, where beta_A(lam) =
-    a - lam b with a = G_AA^-1 c_A and b = G_AA^-1 s_A. The next breakpoint
-    is the largest lam below the current one at which an active coefficient
-    reaches 0 (a drop) or an inactive correlation c_j - G_jA beta_A reaches
-    +-lam (a join). G_AA^-1 follows by a bordered rank-one update per join and
-    a Schur downdate per drop, and only the columns G[:, A] are formed, one
-    per join, so a breakpoint costs O(k^2 + dk) for k active columns, plus
-    O(nd) for a join. Every lam of the grid passed on the way gets
+    Walks the piecewise-linear path of min beta'G beta/2 - c'beta +
+    lam ||beta||_1 for a symmetric positive semidefinite ``gram`` G and a
+    ``corr`` c of size d, from lam_max = max|c| down to ``grid[-1]`` (the
+    homotopy / LARS-lasso of Osborne, Presnell & Turlach 2000 and Efron,
+    Hastie, Johnstone & Tibshirani 2004). The active set A and its signs s are
+    fixed between breakpoints, where beta_A(lam) = a - lam b with
+    a = G_AA^-1 c_A and b = G_AA^-1 s_A. The next breakpoint is the largest lam
+    below the current one at which an active coefficient reaches 0 (a drop) or
+    an inactive correlation c_j - G_jA beta_A reaches +-lam (a join). G_AA^-1
+    follows by a bordered rank-one update per join and a Schur downdate per
+    drop, and a join reads one column of G, so a breakpoint costs O(k^2 + dk)
+    for k active columns. Every lam of the grid passed on the way gets
     beta_A(lam) and is certified by its KKT residual.
 
     The variable of the last breakpoint sits exactly on its boundary, so the
@@ -285,19 +285,17 @@ def _lasso_path(design, response, grid) -> np.ndarray:
     side it left by of one that dropped (it may still join on the other
     side). A column in the span of the active ones never joins: it could only
     tie, and the solution without it is optimal. So G_AA stays nonsingular,
-    and k never exceeds min(n, d).
+    and k never exceeds rank G.
 
     Returns the ``len(grid) x d`` array of solutions (rows of zeros for
     lam >= lam_max). Raises NumericalError when a solution fails its KKT
     certificate or the walk passes its breakpoint limit.
     """
-    n, d = design.shape
-    corr = design.T @ response / n
-    kmax = min(n, d)
-    inverse = np.empty((kmax, kmax))  # G_AA^-1 in its leading k x k block
-    columns = np.empty((d, kmax))  # G[:, A] in its first k columns
-    rhs = np.empty((kmax, 2))  # c_A and s_A
-    active = np.empty(kmax, dtype=np.intp)
+    d = corr.size
+    inverse = np.empty((d, d))  # G_AA^-1 in its leading k x k block
+    columns = np.empty((d, d))  # G[:, A] in its first k columns
+    rhs = np.empty((d, 2))  # c_A and s_A
+    active = np.empty(d, dtype=np.intp)
     sides = np.array([[1.0], [-1.0]])
     path = np.zeros((len(grid), d))
     k, lam, gi = 0, np.inf, 0
@@ -331,9 +329,9 @@ def _lasso_path(design, response, grid) -> np.ndarray:
                 break
             g = columns[j, :k]
             u = inverse[:k, :k] @ g
-            column = design.T @ design[:, j] / n
+            column = gram[:, j]
             schur = column[j] - g @ u
-            if k < kmax and schur > _SPAN_TOL * column[j]:
+            if schur > _SPAN_TOL * column[j]:
                 break
             joins[side, j] = 0.0  # in the span of the active columns
         while gi < len(grid) and grid[gi] >= nxt:

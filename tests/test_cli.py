@@ -462,6 +462,18 @@ class TestCheckCommand:
         assert code == 0
         assert "rho_minus=1.0" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "gradients", "--seed", "-1"],
+        ["--kind", "sparse-eigen", "--d", "0"],
+        # not a covariance matrix
+        ["--kind", "sparse-eigen", "--d", "4", "--toeplitz-rho", "1.5"],
+    ])
+    def test_bad_input_exits_1_with_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("nlsparse: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestParser:
     def test_help_exits_zero(self, capsys):

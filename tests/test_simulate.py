@@ -39,6 +39,7 @@ from nlsparse.simulate import (
     _set_blas_threads,
     _stream_rng,
 )
+from nlsparse.solver import _lasso_path
 
 
 class TestSampleDesign:
@@ -253,10 +254,51 @@ class TestBaselineComparison:
         beta, lam = _cv_lasso(data, 5, 30)
         assert kkt_residual(builtin_link("identity"), data, beta, lam) <= 1e-6 * lam
 
+    @pytest.mark.parametrize("n, d", [(80, 16), (200, 128), (200, 256), (200, 512)])
+    def test_fold_grams_by_subtraction_match_the_training_rows(self, monkeypatch, n, d):
+        import nlsparse.simulate as sim
+
+        config = SimConfig(n=n, d=d, s_star=8, noise_sd=1.0, seed=35)
+        raw, _ = generate(config, 0)
+        data = Dataset(design=raw.design, response=invert_link(builtin_link("paper"), raw.response))
+        paths = []
+
+        def recording(gram, corr, grid):
+            paths.append(_lasso_path(gram, corr, grid))
+            return paths[-1]
+
+        monkeypatch.setattr(sim, "_lasso_path", recording)
+        beta, lam = _cv_lasso(data, 5, 30)
+        ref_beta, ref_lam = _cv_lasso_on_training_rows(data, 5, 30)
+        assert lam == ref_lam
+        np.testing.assert_allclose(beta, ref_beta, rtol=0, atol=1e-12)
+        # k <= rank G = n_t on a fold without a cap on the active set
+        assert len(paths) == 6
+        assert all(np.count_nonzero(path, axis=1).max() <= 4 * n // 5 for path in paths[:5])
+
     def test_folds_equal_to_n_run(self):
         configs = [SimConfig(n=6, d=8, s_star=2, seed=34, trials=1)]
         row = run_baseline_comparison(configs, cv_folds=6, cv_grid_size=3, threads=1)[0]
         assert row.failures == 0
+
+
+def _cv_lasso_on_training_rows(data, folds, grid_size):
+    """Reference ``_cv_lasso``: each fold's Gram matrix and correlations are
+    formed from its own training rows."""
+    X, z = data.design, data.response
+    n, d = X.shape
+    base = max(float(np.std(z, ddof=1)), 1e-8) * np.sqrt(np.log(d) / n)
+    grid = np.geomspace(base, 1e-4 * base, grid_size)
+    cv_mse = np.zeros(grid_size)
+    for val in np.array_split(np.arange(n), folds):
+        train = np.ones(n, dtype=bool)
+        train[val] = False
+        X_t, z_t = X[train], z[train]
+        path = _lasso_path(X_t.T @ X_t / X_t.shape[0], X_t.T @ z_t / X_t.shape[0], grid)
+        err = z[val, None] - X[val] @ path.T
+        cv_mse += np.sum(err * err, axis=0) / val.size
+    best = int(np.argmin(cv_mse))
+    return _lasso_path(X.T @ X / n, X.T @ z / n, grid[:best + 1])[best], float(grid[best])
 
 
 @pytest.fixture

@@ -239,6 +239,12 @@ def cv_fold(config, folds, trial=0, held_out=0):
     return data.design[train], z[train], np.geomspace(base, 1e-4 * base, 30)
 
 
+def lasso_path(X, y, grid):
+    """``_lasso_path`` on the Gram matrix X'X/n and correlations X'y/n of (X, y)."""
+    n = X.shape[0]
+    return _lasso_path(X.T @ X / n, X.T @ y / n, grid)
+
+
 @pytest.mark.filterwarnings("error")
 class TestLassoPath:
     """Every grid point of the exact path is KKT-stationary to 1e-6 * lambda
@@ -250,7 +256,7 @@ class TestLassoPath:
         # (KKT up to 8e-6 * lambda at n = 200; no convergence in 1e5
         # iterations at n = 100), so there the reference starts at the path
         # solution and must stop on its own rule without moving it.
-        path = _lasso_path(X, y, grid)
+        path = lasso_path(X, y, grid)
         data = Dataset(design=X, response=y)
         for beta, lam in zip(path, grid):
             assert kkt_residual(identity, data, beta, lam) <= 1e-6 * lam
@@ -291,7 +297,7 @@ class TestLassoPath:
         y = 2.0 * X[:, 3] + X[:, 1] - X[:, 5] + 0.5 * rng.standard_normal(40)
         lam_max = np.abs(X.T @ y).max() / 40
         grid = np.geomspace(1.5 * lam_max, 1e-4 * lam_max, 30)
-        path = _lasso_path(X, y, grid)
+        path = lasso_path(X, y, grid)
         assert np.all(path[:, 7:9] == 0.0) and np.all(path[-1, [1, 3, 5]] != 0.0)
         data = Dataset(design=X, response=y)
         merge = np.eye(10)
@@ -304,7 +310,7 @@ class TestLassoPath:
 
     def test_zero_response_gives_the_zero_path(self):
         X, _, grid = cv_fold(SimConfig(n=60, d=12, s_star=2, seed=33), 5)
-        path = _lasso_path(X, np.zeros(X.shape[0]), grid)
+        path = lasso_path(X, np.zeros(X.shape[0]), grid)
         np.testing.assert_array_equal(path, 0.0)
 
     def test_grid_above_lambda_max(self, identity):
@@ -319,4 +325,4 @@ class TestLassoPath:
         X, y, grid = cv_fold(SimConfig(n=60, d=12, s_star=2, seed=33), 5)
         y[3] = bad
         with pytest.raises(NumericalError, match="KKT residual"):
-            _lasso_path(X, y, grid)
+            lasso_path(X, y, grid)
