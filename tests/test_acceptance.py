@@ -1,13 +1,16 @@
 """Acceptance suite: every release criterion, one test each, one line each.
 
 Each test prints ``[criterion NN] PASS/FAIL <name> <detail>`` regardless of
-pytest capture settings, then asserts. The Monte Carlo criteria (08-10 and
-14) share one module-scoped batch of runs. Criteria 13 and 14 test inference
-off the global null, at the default rho rule (scale 0.25) and the
-model-based Wald variance r/D0; ``scripts/inference_scan.py`` runs the same
-bands at d = 128 and d = 512.
+pytest capture settings, then asserts. The Monte Carlo criteria (08-10, 13
+and 14) run once per dimension and read only that dimension's module-scoped
+batch of ``run_inference_trials`` runs: d = 128 (500 trials per mu) in
+tier-1, and d = 512 (200 trials per mu), marked ``slow``, which
+``pytest -m slow`` runs. Each rate is printed with its trial count and its
+Wilson 95% interval. Criteria 13 and 14 test inference off the global null,
+at the default rho rule (scale 0.25) and the model-based Wald variance r/D0.
 """
 
+import math
 import time
 
 import numpy as np
@@ -21,6 +24,7 @@ from nlsparse import (
     fit,
     loss_gradient,
     loss_hessian,
+    normal_quantile,
     soft_threshold,
     solve_dantzig,
     sparse_eigenvalues,
@@ -196,63 +200,95 @@ def test_criterion_07_dantzig_exactness(capsys):
            f"time={elapsed:.1f}s")
 
 
-@pytest.fixture(scope="module")
-def inference_runs():
-    """500-trial runs shared by criteria 08, 09, 10 and 14."""
-    base = dict(n=200, d=128, s_star=10, noise_sd=1.0, toeplitz_rho=0.95,
-                link_name="paper", seed=20240817, trials=500)
+@pytest.fixture(scope="module", params=[
+    pytest.param((128, 500), id="128"),
+    pytest.param((512, 200), id="512", marks=pytest.mark.slow),
+])
+def inference_runs(request):
+    """The one batch that criteria 08, 09, 10, 13 and 14 read at dimension d:
+    coordinates 11 (null) and 1 (support) at mu 0 and 0.5, coordinate 1 at
+    mu 0.25."""
+    d, trials = request.param  # trials per mu
+    base = dict(n=200, d=d, s_star=10, noise_sd=1.0, toeplitz_rho=0.95,
+                link_name="paper", seed=20240817, trials=trials)
     started = time.perf_counter()
-    runs = {}
-    runs[0.0] = run_inference_trials(
-        SimConfig(beta_mode=ConstantBeta(0.0), **base), coordinates=(11, 1), threads=THREADS
-    )
-    for mu in (0.25, 0.5):
-        runs[mu] = run_inference_trials(
-            SimConfig(beta_mode=ConstantBeta(mu), **base), coordinates=(1,), threads=THREADS
-        )
+    runs = {
+        mu: run_inference_trials(SimConfig(beta_mode=ConstantBeta(mu), **base),
+                                 coordinates=coordinates, threads=THREADS)
+        for mu, coordinates in ((0.0, (11, 1)), (0.25, (1,)), (0.5, (11, 1)))
+    }
+    runs["d"] = d
     runs["elapsed"] = time.perf_counter() - started
     return runs
 
 
-def rejection_rate(outcomes, coordinate, which):
-    flags = [getattr(o, which) for _, per in outcomes for o in per
-             if o.coordinate == coordinate and getattr(o, which) is not None]
+def wilson(successes, trials):
+    """Wilson (1927) score interval, at 95%, for a rate of successes in trials."""
+    z = normal_quantile(0.975)
+    p = successes / trials
+    shrink = 1.0 + z * z / trials
+    center = (p + z * z / (2 * trials)) / shrink
+    half = z / shrink * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials))
+    return center - half, center + half
+
+
+def test_wilson_interval():
+    assert tuple(round(v, 4) for v in wilson(0, 10)) == (0.0, 0.2775)
+    assert tuple(round(v, 4) for v in wilson(6, 200)) == (0.0138, 0.0639)
+
+
+def rate(flags):
     return float(np.mean(flags))
 
 
+def shown(flags):
+    """A rate as a criterion prints it: with its count and its Wilson interval."""
+    low, high = wilson(sum(flags), len(flags))
+    return f"{rate(flags):.3f} ({sum(flags)}/{len(flags)}, [{low:.4f}, {high:.4f}])"
+
+
+def rejections(outcomes, coordinate, which):
+    return [getattr(o, which) for _, per in outcomes for o in per
+            if o.coordinate == coordinate and getattr(o, which) is not None]
+
+
+def coverage_flags(outcomes, truth):
+    """Whether coordinate 1's Wald interval covers the truth, per trial."""
+    return [o.ci_low <= truth <= o.ci_high for _, per in outcomes for o in per
+            if o.coordinate == 1 and o.wald_reject is not None]
+
+
 def test_criterion_08_type1_calibration(capsys, inference_runs):
-    score_t1 = rejection_rate(inference_runs[0.0], 11, "score_reject")
-    wald_t1 = rejection_rate(inference_runs[0.0], 11, "wald_reject")
+    score = rejections(inference_runs[0.0], 11, "score_reject")
+    wald = rejections(inference_runs[0.0], 11, "wald_reject")
     excluded = sum(1 for _, per in inference_runs[0.0] for o in per if o.failure is not None)
-    ok = 0.03 <= score_t1 <= 0.08 and 0.03 <= wald_t1 <= 0.08
+    ok = 0.03 <= rate(score) <= 0.08 and 0.03 <= rate(wald) <= 0.08
     report(capsys, 8, "type-I calibration", ok,
-           f"score={score_t1:.3f} wald={wald_t1:.3f} band=[0.03,0.08] "
+           f"d={inference_runs['d']} score={shown(score)} wald={shown(wald)} band=[0.03,0.08] "
            f"excluded={excluded} time={inference_runs['elapsed']:.0f}s")
 
 
 def test_criterion_09_power_trend(capsys, inference_runs):
     mus = (0.0, 0.25, 0.5)
-    score_power = [rejection_rate(inference_runs[mu], 1, "score_reject") for mu in mus]
-    wald_power = [rejection_rate(inference_runs[mu], 1, "wald_reject") for mu in mus]
+    score_flags = [rejections(inference_runs[mu], 1, "score_reject") for mu in mus]
+    wald_flags = [rejections(inference_runs[mu], 1, "wald_reject") for mu in mus]
+    score_power = [rate(flags) for flags in score_flags]
+    wald_power = [rate(flags) for flags in wald_flags]
     nondecreasing = all(
         b >= a - 0.05 for seq in (score_power, wald_power) for a, b in zip(seq, seq[1:])
     )
     strong = score_power[-1] >= 0.9 and wald_power[-1] >= 0.9
     report(capsys, 9, "power trend", nondecreasing and strong,
-           f"score={['%.3f' % p for p in score_power]} wald={['%.3f' % p for p in wald_power]}")
+           f"d={inference_runs['d']} score={['%.3f' % p for p in score_power]} "
+           f"wald={['%.3f' % p for p in wald_power]} at mu=0.5: "
+           f"score={shown(score_flags[-1])} wald={shown(wald_flags[-1])}")
 
 
 def test_criterion_10_ci_coverage(capsys, inference_runs):
-    covered = [
-        o.ci_low <= 0.0 <= o.ci_high
-        for _, per in inference_runs[0.0]
-        for o in per
-        if o.coordinate == 1 and o.wald_reject is not None
-    ]
-    coverage = float(np.mean(covered))
-    ok = 0.92 <= coverage <= 0.98
+    covered = coverage_flags(inference_runs[0.0], 0.0)
+    ok = 0.92 <= rate(covered) <= 0.98
     report(capsys, 10, "CI coverage", ok,
-           f"coverage={coverage:.3f} band=[0.92,0.98] trials={len(covered)}")
+           f"d={inference_runs['d']} coverage={shown(covered)} band=[0.92,0.98]")
 
 
 def test_criterion_11_diagnostics(capsys):
@@ -294,26 +330,14 @@ def test_criterion_12_reproducibility(capsys, tmp_path):
            f"bytes={len(outputs[0])} identical_across_runs_and_threads={identical}")
 
 
-def test_criterion_13_type1_off_the_global_null(capsys):
-    started = time.perf_counter()
-    config = SimConfig(n=200, d=128, s_star=10, noise_sd=1.0, toeplitz_rho=0.95,
-                       link_name="paper", seed=20240817, trials=200,
-                       beta_mode=ConstantBeta(0.5))
-    outcomes = run_inference_trials(config, coordinates=(11,), threads=THREADS)
-    score_t1 = rejection_rate(outcomes, 11, "score_reject")
-    elapsed = time.perf_counter() - started
-    report(capsys, 13, "type-I off the global null", score_t1 <= 0.08,
-           f"mu=0.5 score={score_t1:.3f} bound=0.08 time={elapsed:.0f}s")
+def test_criterion_13_type1_off_the_global_null(capsys, inference_runs):
+    score = rejections(inference_runs[0.5], 11, "score_reject")
+    report(capsys, 13, "type-I off the global null", rate(score) <= 0.08,
+           f"d={inference_runs['d']} mu=0.5 score={shown(score)} bound=0.08")
 
 
 def test_criterion_14_coverage_off_the_global_null(capsys, inference_runs):
-    covered = [
-        o.ci_low <= 0.5 <= o.ci_high
-        for _, per in inference_runs[0.5]
-        for o in per
-        if o.coordinate == 1 and o.wald_reject is not None
-    ]
-    coverage = float(np.mean(covered))
-    ok = 0.92 <= coverage <= 0.98
+    covered = coverage_flags(inference_runs[0.5], 0.5)
+    ok = 0.92 <= rate(covered) <= 0.98
     report(capsys, 14, "CI coverage off the global null", ok,
-           f"mu=0.5 coverage={coverage:.3f} band=[0.92,0.98] trials={len(covered)}")
+           f"d={inference_runs['d']} mu=0.5 coverage={shown(covered)} band=[0.92,0.98]")

@@ -813,11 +813,14 @@ class TestForkedMap:
         import subprocess
         import sys
 
+        # each line is one write: print may write the pid and the newline
+        # apart (it does under PYTHONUNBUFFERED=1), and the three processes'
+        # lines would then interleave
         script = (
             "import os, sys, time\n"
             "from nlsparse.simulate import _map_trials\n"
             "def job(j):\n"
-            "    print(os.getpid(), flush=True)\n"
+            "    os.write(1, f'{os.getpid()}\\n'.encode())\n"
             "    time.sleep(0.2)\n"
             "_map_trials(job, list(range(60)), threads=3)\n"
         )
