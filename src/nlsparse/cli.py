@@ -61,11 +61,6 @@ def _add_fit_options(p):
     p.add_argument("--sigma", type=float, help="noise level for the lambda/rho rules")
     p.add_argument("--tol", type=float, help="relative-change stopping threshold")
     p.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap")
-    p.add_argument("--eta", type=float, help="line-search growth factor (> 1)")
-    p.add_argument("--zeta", type=float, help="sufficient-decrease constant")
-    p.add_argument("--memory", type=int, help="nonmonotone window length")
-    # FitConfig fields that have no flag; a --config file may set them
-    p.set_defaults(config_only={"alpha_min": float, "alpha_max": float, "max_linesearch": int})
 
 
 def _add_inference_options(p):
@@ -196,7 +191,6 @@ def _config_defaults(path, command):
         raise InputError(f"config {path} must hold a JSON object")
     kinds = {a.dest: a.type or str for a in command._actions
              if a.option_strings and a.dest not in ("help", "config")}
-    kinds.update(command.get_default("config_only") or {})
     values = {}
     for key, value in cfg.items():
         if key not in kinds:
@@ -272,6 +266,12 @@ def _fit_from_args(args):
     return data, link, lam, fit(link, data, config)
 
 
+def _fit_pairs(result, *extra):
+    """How the fit ended: converged, iterations, the ``extra`` pairs, its KKT certificate."""
+    return [("converged", result.converged), ("iterations", result.iterations), *extra,
+            ("kkt_residual", result.kkt_residual)]
+
+
 def _cmd_fit(args) -> int:
     data, link, lam, result = _fit_from_args(args)
     doc = _doc([
@@ -280,10 +280,7 @@ def _cmd_fit(args) -> int:
         ("n", data.n),
         ("d", data.d),
         ("lambda", lam),
-        ("converged", result.converged),
-        ("iterations", result.iterations),
-        ("objective", float(result.objective_trace[-1])),
-        ("kkt_residual", result.kkt_residual),
+        *_fit_pairs(result, ("objective", float(result.objective_trace[-1]))),
     ], beta=result.beta_hat)
     _emit(doc, args.output)
     return 0
@@ -316,6 +313,7 @@ def _cmd_test(args) -> int:
         ("null_value", inf_cfg.null_value),
         ("delta", inf_cfg.significance),
         ("lambda", lam),
+        *_fit_pairs(result),
         ("rho", inf_cfg.rho),
     ]
     if args.method == "score":
@@ -349,6 +347,7 @@ def _cmd_ci(args) -> int:
         ("coordinate", inf_cfg.coordinate),
         ("delta", inf_cfg.significance),
         ("lambda", lam),
+        *_fit_pairs(result),
         ("rho", inf_cfg.rho),
         ("alpha_bar", res.alpha_bar),
         ("ci_low", res.ci_low),

@@ -32,7 +32,7 @@ import numpy as np
 
 # Inference calls none of solve_dantzig, loss_gradient and loss_hessian, but
 # perfbench/spans.py looks all three up on this module to time them; ROADMAP
-# item 2 moves its spans onto the functions in use and drops these imports.
+# item 5 moves its spans onto the functions in use and drops these imports.
 from .dantzig import DantzigResult, _solve, solve_dantzig  # noqa: F401
 from .errors import (
     DantzigInfeasibleError,

@@ -236,48 +236,24 @@ class Dataset:
 class FitConfig:
     """Options for the proximal gradient solver.
 
-    Defaults follow the standard tuning for this family of solvers:
-    line-search growth ``eta = 2``, nonmonotone window ``memory = 5``,
-    sufficient-decrease constant ``zeta = 1e-5``, stopping threshold
-    ``tol = 1e-5`` on the relative iterate change, and stepsize safeguards
-    ``alpha_min = 1e-30 < 1 < alpha_max = 1e30``.
-
-    ``init`` is the starting point; ``None`` means the zero vector.
+    ``lam`` is the l1 penalty, ``tol = 1e-5`` the stopping threshold on the
+    relative iterate change and ``max_iter = 10,000`` the iteration cap.
+    ``init`` is the starting point; ``None`` means the zero vector. The
+    line-search constants are fixed in :mod:`nlsparse.solver`.
     """
 
     lam: float
-    eta: float = 2.0
-    zeta: float = 1e-5
-    memory: int = 5
-    alpha_min: float = 1e-30
-    alpha_max: float = 1e30
     tol: float = 1e-5
     max_iter: int = 10_000
-    max_linesearch: int = 100
     init: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not (self.lam > 0.0 and np.isfinite(self.lam)):
             raise InputError(f"lam must be a positive real, got {self.lam}")
-        if not self.eta > 1.0:
-            raise InputError(f"eta must exceed 1, got {self.eta}")
-        if not self.zeta > 0.0:
-            raise InputError(f"zeta must be positive, got {self.zeta}")
-        if not (isinstance(self.memory, (int, np.integer)) and self.memory >= 1):
-            raise InputError(f"memory must be a positive integer, got {self.memory}")
-        if not (0.0 < self.alpha_min < 1.0 < self.alpha_max):
-            raise InputError(
-                "stepsize safeguards must satisfy 0 < alpha_min < 1 < alpha_max, "
-                f"got ({self.alpha_min}, {self.alpha_max})"
-            )
         if not self.tol > 0.0:
             raise InputError(f"tol must be positive, got {self.tol}")
         if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
             raise InputError(f"max_iter must be a positive integer, got {self.max_iter}")
-        if not (isinstance(self.max_linesearch, (int, np.integer)) and self.max_linesearch >= 1):
-            raise InputError(
-                f"max_linesearch must be a positive integer, got {self.max_linesearch}"
-            )
         if self.init is not None:
             init = np.asarray(self.init, dtype=float)
             if init.ndim != 1:

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import InputError, NlsparseError
 from .model import Dataset, FitConfig, SparsityGroundTruth, builtin_link, invert_link
-# score_test and wald_estimate are unused here, but perfbench/spans.py times them (ROADMAP item 2).
+# score_test and wald_estimate are unused here, but perfbench/spans.py times them (ROADMAP item 5).
 from .inference import InferenceConfig, _score_and_wald, score_test, wald_estimate  # noqa: F401
 from .solver import _lasso_path, fit
 
@@ -410,9 +410,10 @@ def _cv_lasso(data: Dataset, folds: int, grid_size: int):
 
 def _estimation_trial(job):
     """One trial at every size of a group of configs that differ only in n
-    (``sizes``, by increasing n): per size, the (l2, l1) errors of the fit,
-    followed by those of the lasso on link-inverted responses when
-    ``cv = (folds, grid_size)`` is set; or the first failure's message.
+    (``sizes``, by increasing n, each fitted at its entry of ``fit_configs``):
+    per size, the (l2, l1) errors of the fit, followed by those of the lasso
+    on link-inverted responses when ``cv = (folds, grid_size)`` is set; or
+    the first failure's message.
 
     The trial is drawn once, at the largest n. A smaller size takes the first
     n rows of that design, which are the design :func:`generate` draws at
@@ -422,16 +423,15 @@ def _estimation_trial(job):
     zero, each later one from the estimate of the last size whose fit
     returned. The baseline inverts and cross-validates each size's own rows.
     """
-    sizes, trial, lambda_scale, cv = job
+    sizes, trial, fit_configs, cv = job
     data, truth = generate(sizes[-1], trial)
     link = builtin_link(sizes[-1].link_name)
     init, out = None, []
-    for config in sizes:
+    for config, fit_config in zip(sizes, fit_configs):
         sample = data if config.n == data.n else _dataset(
             config, trial, data.design[:config.n], truth.beta_star)
         try:
-            beta_hat = fit(link, sample, FitConfig(lam=config.lambda_rule(lambda_scale),
-                                                   init=init)).beta_hat
+            beta_hat = fit(link, sample, replace(fit_config, init=init)).beta_hat
             init, estimates = beta_hat, [beta_hat]
             if cv is not None:
                 inverted = Dataset(design=sample.design,
@@ -464,8 +464,11 @@ def _estimation_rows(configs, lambda_scale, cv, threads):
     groups = {}  # the distinct configs that differ only in n, by increasing n
     for config in sorted(dict.fromkeys(configs), key=lambda config: config.n):
         groups.setdefault(replace(config, n=1), []).append(config)
-    jobs = [(tuple(sizes), trial, lambda_scale, cv)
-            for key, sizes in groups.items() for trial in range(key.trials)]
+    jobs = []
+    for key, sizes in groups.items():
+        # each size's lambda is checked here, before any trial runs
+        fit_configs = tuple(FitConfig(lam=config.lambda_rule(lambda_scale)) for config in sizes)
+        jobs += [(tuple(sizes), trial, fit_configs, cv) for trial in range(key.trials)]
     results = iter(_map_trials(_estimation_trial, jobs, threads))
     records = {}  # config -> its result in every trial
     for key, sizes in groups.items():

@@ -1,11 +1,11 @@
 """Proximal gradient solver with BB stepsizes and a nonmonotone line search.
 
 Each outer iteration proposes the spectral (Barzilai-Borwein) stepsize, then
-grows it by ``eta`` until the soft-thresholded gradient step satisfies a
+grows it by ``ETA`` until the soft-thresholded gradient step satisfies a
 nonmonotone sufficient-decrease test against the worst objective value in the
-last ``memory + 1`` accepted iterates:
+last ``MEMORY + 1`` accepted iterates:
 
-    phi(beta_new) <= max window(phi) - zeta * alpha/2 * ||beta_new - beta||^2
+    phi(beta_new) <= max window(phi) - ZETA * alpha/2 * ||beta_new - beta||^2
 
 Accepted objective values, stepsizes and squared step norms are logged so the
 acceptance inequality can be replayed exactly from the returned traces.
@@ -29,6 +29,17 @@ __all__ = [
     "fit",
     "kkt_residual",
 ]
+
+# The line-search constants of SpaRSA (Wright, Nowak & Figueiredo 2009): the
+# stepsize grows by ETA per trial, the sufficient-decrease constant is ZETA
+# over a window of MEMORY + 1 accepted values, BB stepsizes are clamped to
+# [ALPHA_MIN, ALPHA_MAX], and MAX_LINESEARCH trials end an iteration.
+ETA = 2.0
+ZETA = 1e-5
+MEMORY = 5
+ALPHA_MIN = 1e-30
+ALPHA_MAX = 1e30
+MAX_LINESEARCH = 100
 
 
 @dataclass(frozen=True)
@@ -127,7 +138,8 @@ def fit(link: LinkFunction, data: Dataset, config: FitConfig) -> FitResult:
     """Minimize L(beta) + lam ||beta||_1 to stationarity.
 
     Runs the proximal gradient iteration with BB initial stepsizes and the
-    nonmonotone acceptance rule until the relative iterate change
+    nonmonotone acceptance rule, at this module's line-search constants
+    (``ETA`` ... ``MAX_LINESEARCH``), until the relative iterate change
     ``||beta_t - beta_{t-1}|| / ||beta_t||`` drops to ``config.tol`` (absolute
     change when the iterate is zero) AND the KKT residual certifies
     stationarity at ``10 * config.tol``, or ``config.max_iter`` is reached.
@@ -141,7 +153,7 @@ def fit(link: LinkFunction, data: Dataset, config: FitConfig) -> FitResult:
     Raises
     ------
     LineSearchError
-        If ``config.max_linesearch`` stepsize increases never satisfy the
+        If ``MAX_LINESEARCH`` stepsize increases never satisfy the
         acceptance test; the partial result is attached to the exception.
     NumericalError
         If the starting objective is not finite.
@@ -171,25 +183,23 @@ def fit(link: LinkFunction, data: Dataset, config: FitConfig) -> FitResult:
 
     while t < config.max_iter:
         if prev_beta is None:
-            alpha = bb_stepsize(0, None, None, config.alpha_min, config.alpha_max)
+            alpha = bb_stepsize(0, None, None, ALPHA_MIN, ALPHA_MAX)
         else:
-            alpha = bb_stepsize(
-                t, beta - prev_beta, grad - prev_grad, config.alpha_min, config.alpha_max
-            )
+            alpha = bb_stepsize(t, beta - prev_beta, grad - prev_grad, ALPHA_MIN, ALPHA_MAX)
 
-        for _ in range(config.max_linesearch):
+        for _ in range(MAX_LINESEARCH):
             cand = soft_threshold(beta - grad / alpha, lam / alpha)
             step = cand - beta
             phi_cand, u, resid = _objective(link, data, cand, lam)
-            if acceptance_check(history, phi_cand, alpha, step, config.zeta, config.memory):
+            if acceptance_check(history, phi_cand, alpha, step, ZETA, MEMORY):
                 break
-            alpha *= config.eta
+            alpha *= ETA
         else:
             partial = _build_result(
                 beta, grad, lam, t, history, alphas, step_sqnorms, False
             )
             raise LineSearchError(
-                f"fit: line search exhausted {config.max_linesearch} trials at "
+                f"fit: line search exhausted {MAX_LINESEARCH} trials at "
                 f"iteration {t}",
                 result=partial,
             )

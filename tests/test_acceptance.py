@@ -27,6 +27,7 @@ from nlsparse import (
     normal_quantile,
     soft_threshold,
     solve_dantzig,
+    solver,
     sparse_eigenvalues,
 )
 from nlsparse.cli import main as cli_main
@@ -88,8 +89,8 @@ def test_criterion_02_solver_stationarity(capsys):
         worst_kkt = max(worst_kkt, res.kkt_residual)
         trace = res.objective_trace
         for t in range(1, res.iterations + 1):
-            window = trace[max(0, t - 1 - config.memory):t]
-            bound = max(window) - config.zeta * res.stepsize_trace[t - 1] / 2.0 \
+            window = trace[max(0, t - 1 - solver.MEMORY):t]
+            bound = max(window) - solver.ZETA * res.stepsize_trace[t - 1] / 2.0 \
                 * res.step_sqnorm_trace[t - 1]
             if not trace[t] <= bound:
                 replay_ok = False

@@ -92,11 +92,26 @@ class TestFitCommand:
 
         monkeypatch.setattr(cli, "fit", recording_fit)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"lam": 0.1, "max_linesearch": 7, "alpha_min": 1e-20}))
+        cfg_path.write_text(json.dumps({"lam": 0.1, "max_iter": 500, "tol": 1e-3}))
         code, _, _ = run_cli(capsys, "fit", "--data", str(dataset_csv),
-                             "--config", str(cfg_path), "--memory", "3")
+                             "--config", str(cfg_path), "--tol", "1e-6")
         assert code == 0
-        assert seen == [FitConfig(lam=0.1, max_linesearch=7, alpha_min=1e-20, memory=3)]
+        assert seen == [FitConfig(lam=0.1, max_iter=500, tol=1e-6)]
+
+    def test_line_search_constants_have_no_flag(self, dataset_csv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fit", "--data", str(dataset_csv), "--lambda", "0.1", "--eta", "2"])
+        assert excinfo.value.code == 1
+        assert "unrecognized arguments: --eta 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["zeta", "alpha_min", "max_linesearch"])
+    def test_line_search_constants_are_no_config_keys(self, capsys, dataset_csv, tmp_path, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lam": 0.1, key: 1}))
+        code, out, err = run_cli(capsys, "fit", "--data", str(dataset_csv),
+                                 "--config", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err == f"nlsparse: error: config {cfg_path}: no option {key}\n"
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "fit", "--data", str(tmp_path / "missing.csv"),
@@ -193,6 +208,21 @@ class TestTestCommand:
         assert code == 2
         assert "degenerate score variance" in err
 
+    def test_reports_the_fit_it_tested(self, capsys, dataset_csv):
+        args = ["--data", str(dataset_csv), "--lambda", "0.1", "--coordinate", "1",
+                "--rho", "2.0"]
+        for argv in (["test", *args, "--method", "score"], ["ci", *args]):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            keys = [line.partition("=")[0] for line in out.splitlines()]
+            assert keys[keys.index("lambda"):keys.index("rho")] == [
+                "lambda", "converged", "iterations", "kkt_residual"]
+            assert parse_doc(out)[0]["converged"] == "true"
+            code, out, _ = run_cli(capsys, *argv, "--max-iter", "1")
+            doc = parse_doc(out)[0]
+            assert code == 0
+            assert (doc["converged"], doc["iterations"]) == ("false", "1")
+
     def test_rho_rule_needs_sigma(self, capsys, dataset_csv):
         code, _, err = run_cli(capsys, "test", "--data", str(dataset_csv),
                                "--lambda", "0.1", "--coordinate", "1", "--method", "score")
@@ -271,6 +301,24 @@ class TestSimulateCommand:
                                "--threads", "1", "--output", str(out))
         assert code == 1
         assert "cv_folds" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["sweep", "baseline"])
+    def test_bad_lambda_rule_exits_1_before_any_trial(self, capsys, monkeypatch, tmp_path,
+                                                      experiment):
+        import nlsparse.simulate as sim
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sim, "_map_trials", no_trials)
+        out = tmp_path / "rows.csv"
+        code, stdout, err = run_cli(capsys, "simulate", "--experiment", experiment,
+                                    "--n", "40,60", "--d", "12", "--s-star", "2",
+                                    "--trials", "2", "--lambda-rule", "-1",
+                                    "--output", str(out))
+        assert (code, stdout) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("nlsparse: error: ")
         assert not out.exists()
 
     def test_baseline_small(self, capsys, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from nlsparse import (
     builtin_link,
     invert_link,
     load_dataset_csv,
+    solver,
 )
 from nlsparse.simulate import SimConfig, generate
 
@@ -163,17 +166,15 @@ class TestDataset:
 class TestFitConfig:
     def test_defaults_valid(self):
         cfg = FitConfig(lam=0.1)
-        assert cfg.eta == 2.0 and cfg.memory == 5 and cfg.tol == 1e-5
-        assert cfg.alpha_min < 1.0 < cfg.alpha_max
+        assert [f.name for f in dataclasses.fields(FitConfig)] == ["lam", "tol", "max_iter", "init"]
+        assert (cfg.tol, cfg.max_iter, cfg.init) == (1e-5, 10_000, None)
+        # the line-search constants of the solver, which no option sets
+        assert (solver.ETA, solver.ZETA, solver.MEMORY) == (2.0, 1e-5, 5)
+        assert (solver.ALPHA_MIN, solver.ALPHA_MAX, solver.MAX_LINESEARCH) == (1e-30, 1e30, 100)
 
     @pytest.mark.parametrize("kwargs", [
         dict(lam=0.0),
         dict(lam=-1.0),
-        dict(lam=0.1, eta=1.0),
-        dict(lam=0.1, zeta=0.0),
-        dict(lam=0.1, memory=0),
-        dict(lam=0.1, alpha_min=2.0),
-        dict(lam=0.1, alpha_max=0.5),
         dict(lam=0.1, tol=0.0),
         dict(lam=0.1, max_iter=0),
     ])
@@ -182,9 +183,7 @@ class TestFitConfig:
             FitConfig(**kwargs)
 
     def test_numpy_integer_counts_accepted(self):
-        cfg = FitConfig(lam=0.1, memory=np.int64(5), max_iter=np.int32(50),
-                        max_linesearch=np.int64(10))
-        assert (cfg.memory, cfg.max_iter, cfg.max_linesearch) == (5, 50, 10)
+        assert FitConfig(lam=0.1, max_iter=np.int32(50)).max_iter == 50
 
 
 class TestSparsityGroundTruth:

@@ -485,6 +485,19 @@ class TestSizeChain:
         with pytest.raises(InputError, match="at least one SimConfig"):
             run([], threads=threads)
 
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("run", [run_estimation_sweep, run_baseline_comparison])
+    def test_lambda_rule_validated_before_any_trial(self, monkeypatch, run, scale):
+        import nlsparse.simulate as sim
+
+        def no_trials(*args):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr(sim, "_map_trials", no_trials)
+        configs = [SimConfig(n=n, d=12, s_star=2, seed=64, trials=2) for n in (40, 60)]
+        with pytest.raises(InputError, match="rule needs scale > 0|lam must be a positive real"):
+            run(configs, scale, threads=1)
+
 
 class TestInferenceTable:
     def test_power_grows_with_signal(self):

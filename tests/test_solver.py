@@ -15,6 +15,7 @@ from nlsparse import (
     kkt_residual,
     penalized_objective,
     soft_threshold,
+    solver,
 )
 from nlsparse.simulate import SimConfig, generate
 from nlsparse.solver import _lasso_path
@@ -124,8 +125,8 @@ class TestFit:
         assert len(trace) == res.iterations + 1
         assert len(res.stepsize_trace) == res.iterations
         for t in range(1, res.iterations + 1):
-            window = trace[max(0, t - 1 - config.memory):t]
-            bound = max(window) - config.zeta * res.stepsize_trace[t - 1] / 2.0 \
+            window = trace[max(0, t - 1 - solver.MEMORY):t]
+            bound = max(window) - solver.ZETA * res.stepsize_trace[t - 1] / 2.0 \
                 * res.step_sqnorm_trace[t - 1]
             assert trace[t] <= bound
 
@@ -163,13 +164,14 @@ class TestFit:
         warm = fit(paper, data, FitConfig(lam=lam, init=cold.beta_hat))
         assert warm.iterations <= cold.iterations
 
-    def test_line_search_exhaustion_carries_iterate(self, paper):
+    def test_line_search_exhaustion_carries_iterate(self, paper, monkeypatch):
         cfg = SimConfig(n=40, d=10, s_star=2, noise_sd=1.0, seed=15, trials=1)
         data, _ = generate(cfg, 0)
         # an absurd sufficient-decrease constant makes every step unacceptable
-        config = FitConfig(lam=0.1, zeta=1e12, max_linesearch=3)
-        with pytest.raises(LineSearchError) as excinfo:
-            fit(paper, data, config)
+        monkeypatch.setattr(solver, "ZETA", 1e12)
+        monkeypatch.setattr(solver, "MAX_LINESEARCH", 3)
+        with pytest.raises(LineSearchError, match="exhausted 3 trials") as excinfo:
+            fit(paper, data, FitConfig(lam=0.1))
         assert excinfo.value.result is not None
         assert excinfo.value.result.beta_hat.shape == (10,)
 
