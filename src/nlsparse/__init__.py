@@ -21,10 +21,9 @@ _EXPORTS = {
     "inference": "InferenceConfig ScoreTestResult WaldResult normal_cdf normal_quantile "
                  "score_test two_sided_p_value wald_estimate",
     "loss": "loss_gradient loss_hessian loss_value penalized_objective",
-    "model": "Dataset FitConfig LinkFunction SparsityGroundTruth builtin_link invert_link "
-             "load_dataset_csv",
-    "simulate": "BaselineRow ConstantBeta InferenceRow SimConfig SweepRow TrialInference "
-                "UniformBeta csv_text generate make_beta_star run_baseline_comparison "
+    "model": "Dataset FitConfig LinkFunction builtin_link invert_link load_dataset_csv",
+    "simulate": "BaselineRow InferenceRow SimConfig SweepRow TrialInference UniformBeta "
+                "csv_text generate make_beta_star run_baseline_comparison "
                 "run_estimation_sweep run_inference_table run_inference_trials sample_design",
     "solver": "FitResult acceptance_check bb_stepsize fit kkt_residual soft_threshold",
 }

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import os
 import sys
 
@@ -133,8 +132,7 @@ def _build_parser():
     p_sim.add_argument("--type1-coordinate", dest="type1_coordinate", type=int,
                        help="null-true coordinate for the table (default s_star+1)")
     p_sim.add_argument("--power-coordinate", dest="power_coordinate", type=int,
-                       default=inspect.signature(sim.run_inference_table)
-                       .parameters["power_coordinate"].default,
+                       default=sim.POWER_COORDINATE,
                        help="null-false coordinate for the table (default %(default)s)")
     p_sim.add_argument("--threads", type=int,
                        help="at most this many processes (>= 1), each trial on one BLAS thread "
@@ -361,13 +359,11 @@ def _cmd_ci(args) -> int:
 def _parse_beta_mode(raw):
     kind, _, params = raw.partition(":")
     try:
-        if kind == "uniform":
-            if not params:
-                return sim.UniformBeta()
-            lo, hi = (float(v) for v in params.split(","))
-            return sim.UniformBeta(lo, hi)
-        if kind == "constant":
-            return sim.ConstantBeta(float(params))
+        bounds = [float(v) for v in params.split(",")] if params else []
+        if kind == "uniform" and len(bounds) in (0, 2):
+            return sim.UniformBeta(*bounds)
+        if kind == "constant" and len(bounds) == 1:
+            return sim.UniformBeta(bounds[0], bounds[0])
     except ValueError as exc:
         raise InputError(f"bad beta mode {raw!r}: {exc}") from exc
     raise InputError(f'bad beta mode {raw!r}: expected "uniform:lo,hi" or "constant:mu"')

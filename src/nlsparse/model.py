@@ -19,7 +19,6 @@ __all__ = [
     "LinkFunction",
     "Dataset",
     "FitConfig",
-    "SparsityGroundTruth",
     "builtin_link",
     "invert_link",
     "load_dataset_csv",
@@ -261,25 +260,6 @@ class FitConfig:
             if not np.all(np.isfinite(init)):
                 raise InputError("init contains non-finite entries")
             object.__setattr__(self, "init", _frozen_array(init))
-
-
-@dataclass(frozen=True)
-class SparsityGroundTruth:
-    """A true parameter vector together with its support size."""
-
-    beta_star: np.ndarray
-    support_size: int
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta_star, dtype=float)
-        if beta.ndim != 1:
-            raise InputError("beta_star must be a 1-d vector")
-        nnz = int(np.count_nonzero(beta))
-        if self.support_size != nnz:
-            raise InputError(
-                f"support_size={self.support_size} but beta_star has {nnz} nonzeros"
-            )
-        object.__setattr__(self, "beta_star", _frozen_array(beta))
 
 
 def load_dataset_csv(path) -> Dataset:

@@ -44,19 +44,18 @@ import os
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import islice
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError, NlsparseError
-from .model import Dataset, FitConfig, SparsityGroundTruth, builtin_link, invert_link
+from .model import Dataset, FitConfig, builtin_link, invert_link
 # score_test and wald_estimate are unused here, but perfbench/spans.py times them (ROADMAP item 5).
 from .inference import InferenceConfig, _score_and_wald, score_test, wald_estimate  # noqa: F401
 from .solver import _lasso_path, fit
 
 __all__ = [
     "UniformBeta",
-    "ConstantBeta",
     "SimConfig",
     "SweepRow",
     "BaselineRow",
@@ -85,6 +84,11 @@ _STREAM_NOISE = 2
 LAMBDA_SCALE = 3.0
 RHO_SCALE = 0.25
 
+# The baseline's CV folds and lambda grid size; the table's power coordinate (1-based).
+CV_FOLDS = 5
+CV_GRID_SIZE = 30
+POWER_COORDINATE = 1
+
 # Floor for rule-derived regularization when sigma = 0 (noiseless runs).
 _NOISELESS_LAMBDA = 1e-4
 
@@ -100,20 +104,15 @@ def rate_rule(scale: float, sigma: float, n: int, d: int) -> float:
 
 @dataclass(frozen=True)
 class UniformBeta:
-    """Nonzero coefficients drawn i.i.d. uniform on [lo, hi]."""
+    """Nonzero coefficients drawn i.i.d. uniform on [lo, hi]; with lo == hi
+    every one equals lo, and nothing is drawn."""
 
     lo: float = 0.0
     hi: float = 2.0
 
-
-@dataclass(frozen=True)
-class ConstantBeta:
-    """All nonzero coefficients equal to mu."""
-
-    mu: float = 0.0
-
-
-BetaMode = Union[UniformBeta, ConstantBeta]
+    def __post_init__(self):
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo <= self.hi):
+            raise InputError(f"UniformBeta needs finite lo <= hi, got lo={self.lo}, hi={self.hi}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ class SimConfig:
     link_name: str = "paper"
     noise_sd: float = 1.0
     toeplitz_rho: float = 0.95
-    beta_mode: BetaMode = UniformBeta(0.0, 2.0)
+    beta_mode: UniformBeta = UniformBeta(0.0, 2.0)
     seed: int = 0
     trials: int = 1
 
@@ -186,34 +185,34 @@ def sample_design(n: int, d: int, toeplitz_rho: float, rng: np.random.Generator)
     return X
 
 
-def make_beta_star(d: int, s_star: int, beta_mode: BetaMode, rng: np.random.Generator) -> SparsityGroundTruth:
-    """Ground-truth vector: first s_star entries per beta_mode, zeros after."""
+def make_beta_star(d: int, s_star: int, beta_mode: UniformBeta,
+                   rng: np.random.Generator) -> np.ndarray:
+    """The read-only true coefficients: the first s_star per beta_mode, zeros after."""
     if not 0 <= s_star <= d:
         raise InputError(f"s_star must lie in 0..{d}, got {s_star}")
     beta = np.zeros(d)
-    if isinstance(beta_mode, UniformBeta):
-        beta[:s_star] = rng.uniform(beta_mode.lo, beta_mode.hi, size=s_star)
-    elif isinstance(beta_mode, ConstantBeta):
-        beta[:s_star] = beta_mode.mu
+    if beta_mode.lo == beta_mode.hi:
+        beta[:s_star] = beta_mode.lo
     else:
-        raise InputError(f"unknown beta_mode {beta_mode!r}")
-    return SparsityGroundTruth(beta_star=beta, support_size=int(np.count_nonzero(beta)))
+        beta[:s_star] = rng.uniform(beta_mode.lo, beta_mode.hi, size=s_star)
+    beta.flags.writeable = False
+    return beta
 
 
 def generate(config: SimConfig, trial: int):
-    """Build the dataset and ground truth for one trial, reproducibly.
+    """Build the dataset and true coefficient vector for one trial, reproducibly.
 
-    Returns ``(Dataset, SparsityGroundTruth)``. The same (config.seed, trial)
-    pair always yields bitwise identical output.
+    Returns ``(Dataset, beta_star)``. The same (config.seed, trial) pair
+    always yields bitwise identical output.
     """
     X = sample_design(
         config.n, config.d, config.toeplitz_rho, _stream_rng(config.seed, trial, _STREAM_DESIGN)
     )
-    truth = make_beta_star(
+    beta_star = make_beta_star(
         config.d, config.s_star, config.beta_mode, _stream_rng(config.seed, trial, _STREAM_BETA)
     )
     X.flags.writeable = False  # the Dataset then holds X itself, not a copy
-    return _dataset(config, trial, X, truth.beta_star), truth
+    return _dataset(config, trial, X, beta_star), beta_star
 
 
 def _dataset(config: SimConfig, trial: int, X: np.ndarray, beta_star: np.ndarray) -> Dataset:
@@ -376,15 +375,15 @@ class BaselineRow:
     failures: int
 
 
-def _errors(estimate, truth):
-    err = estimate - truth.beta_star
+def _errors(estimate, beta_star):
+    err = estimate - beta_star
     return float(np.linalg.norm(err)), float(np.abs(err).sum())
 
 
-def _cv_lasso(data: Dataset, folds: int, grid_size: int):
-    """The lasso estimate at a lambda picked by k-fold cross-validation.
+def _cv_lasso(data: Dataset):
+    """The lasso estimate at a lambda picked by CV_FOLDS-fold cross-validation.
 
-    The grid is ``grid_size`` log-spaced values spanning [1e-4, 1] *
+    The grid is CV_GRID_SIZE log-spaced values spanning [1e-4, 1] *
     sd(z) * sqrt(log d / n), from the largest down. On each training fold, with
     X'X and X'z less the held-out block's, one walk of the exact lasso path
     (:func:`nlsparse.solver._lasso_path`) gives the KKT-certified solution at
@@ -395,11 +394,11 @@ def _cv_lasso(data: Dataset, folds: int, grid_size: int):
     """
     n, d = data.design.shape
     base = max(float(np.std(data.response, ddof=1)), 1e-8) * np.sqrt(np.log(d) / n)
-    grid = np.geomspace(base, 1e-4 * base, grid_size)
+    grid = np.geomspace(base, 1e-4 * base, CV_GRID_SIZE)
     gram, corr = data.design.T @ data.design, data.design.T @ data.response
 
-    cv_mse = np.zeros(grid_size)
-    for val in np.array_split(np.arange(n), folds):
+    cv_mse = np.zeros(CV_GRID_SIZE)
+    for val in np.array_split(np.arange(n), CV_FOLDS):
         X_v, z_v, n_t = data.design[val], data.response[val], n - val.size
         path = _lasso_path((gram - X_v.T @ X_v) / n_t, (corr - X_v.T @ z_v) / n_t, grid)
         pred_err = z_v[:, None] - X_v @ path.T
@@ -412,7 +411,7 @@ def _estimation_trial(job):
     """One trial at every size of a group of configs that differ only in n
     (``sizes``, by increasing n, each fitted at its entry of ``fit_configs``):
     per size, the (l2, l1) errors of the fit, followed by those of the lasso
-    on link-inverted responses when ``cv = (folds, grid_size)`` is set; or
+    on link-inverted responses when ``baseline`` is set; or
     the first failure's message.
 
     The trial is drawn once, at the largest n. A smaller size takes the first
@@ -423,24 +422,24 @@ def _estimation_trial(job):
     zero, each later one from the estimate of the last size whose fit
     returned. The baseline inverts and cross-validates each size's own rows.
     """
-    sizes, trial, fit_configs, cv = job
-    data, truth = generate(sizes[-1], trial)
+    sizes, trial, fit_configs, baseline = job
+    data, beta_star = generate(sizes[-1], trial)
     link = builtin_link(sizes[-1].link_name)
     init, out = None, []
     for config, fit_config in zip(sizes, fit_configs):
         sample = data if config.n == data.n else _dataset(
-            config, trial, data.design[:config.n], truth.beta_star)
+            config, trial, data.design[:config.n], beta_star)
         try:
             beta_hat = fit(link, sample, replace(fit_config, init=init)).beta_hat
             init, estimates = beta_hat, [beta_hat]
-            if cv is not None:
+            if baseline:
                 inverted = Dataset(design=sample.design,
                                    response=invert_link(link, sample.response))
-                estimates.append(_cv_lasso(inverted, *cv)[0])
+                estimates.append(_cv_lasso(inverted)[0])
         except NlsparseError as exc:
             out.append(str(exc))
             continue
-        out.append([_errors(estimate, truth) for estimate in estimates])
+        out.append([_errors(estimate, beta_star) for estimate in estimates])
     return out
 
 
@@ -453,10 +452,10 @@ def _mean_sd(values):
     return mean, sd
 
 
-def _estimation_rows(configs, lambda_scale, cv, threads):
+def _estimation_rows(configs, lambda_scale, baseline, threads):
     """One row per config, in the caller's order: mean and sd of each
     estimator's errors over the trials where nothing failed (the baseline's
-    under ``base_`` when ``cv`` is set), and the count of the others in
+    under ``base_`` when ``baseline`` is set), and the count of the others in
     ``failures``. Configs that differ only in n share one job per trial
     (:func:`_estimation_trial`); a size listed twice is fitted once."""
     if len(configs) == 0:
@@ -468,14 +467,14 @@ def _estimation_rows(configs, lambda_scale, cv, threads):
     for key, sizes in groups.items():
         # each size's lambda is checked here, before any trial runs
         fit_configs = tuple(FitConfig(lam=config.lambda_rule(lambda_scale)) for config in sizes)
-        jobs += [(tuple(sizes), trial, fit_configs, cv) for trial in range(key.trials)]
+        jobs += [(tuple(sizes), trial, fit_configs, baseline) for trial in range(key.trials)]
     results = iter(_map_trials(_estimation_trial, jobs, threads))
     records = {}  # config -> its result in every trial
     for key, sizes in groups.items():
         per_trial = list(islice(results, key.trials))
         for k, config in enumerate(sizes):
             records[config] = [out[k] for out in per_trial]
-    row_type, prefixes = (SweepRow, ("",)) if cv is None else (BaselineRow, ("", "base_"))
+    row_type, prefixes = (BaselineRow, ("", "base_")) if baseline else (SweepRow, ("",))
     rows = []
     for config in configs:
         good = [r for r in records[config] if not isinstance(r, str)]
@@ -502,28 +501,25 @@ def run_estimation_sweep(configs: Sequence[SimConfig], lambda_scale: float = LAM
     sqrt(log d / n); summarize l2/l1 errors per grid point. Individual trial
     failures are counted, not fatal. Raises :class:`InputError` when
     ``configs`` is empty."""
-    return _estimation_rows(configs, lambda_scale, None, threads)
+    return _estimation_rows(configs, lambda_scale, False, threads)
 
 
 def run_baseline_comparison(configs: Sequence[SimConfig], lambda_scale: float = LAMBDA_SCALE,
-                            cv_folds: int = 5, cv_grid_size: int = 30,
                             threads: Optional[int] = None):
     """Paired comparison: nonlinear fit vs Lasso on inverted responses.
 
     The baseline transforms each response through the link inverse and
-    takes the exact lasso solution at a cross-validated lambda. Trials
-    where either side fails are excluded from both means (pairing preserved)
-    and counted in ``failures``. Raises :class:`InputError`, before any
-    trial runs, unless ``configs`` is not empty, ``2 <= cv_folds <= n`` at
-    every config and ``cv_grid_size >= 1``.
+    takes the exact lasso solution at a lambda picked by CV_FOLDS-fold
+    cross-validation over CV_GRID_SIZE values. Trials where either side
+    fails are excluded from both means (pairing preserved) and counted in
+    ``failures``. Raises :class:`InputError`, before any trial runs, unless
+    ``configs`` is not empty and n >= CV_FOLDS at every config.
     """
-    if cv_grid_size < 1:
-        raise InputError(f"cv_grid_size must be >= 1, got {cv_grid_size}")
     for config in configs:
-        if not 2 <= cv_folds <= config.n:
-            raise InputError(f"cross-validation needs 2 <= cv_folds <= n, "
-                             f"got cv_folds={cv_folds} at n={config.n}")
-    return _estimation_rows(configs, lambda_scale, (cv_folds, cv_grid_size), threads)
+        if config.n < CV_FOLDS:
+            raise InputError(f"{CV_FOLDS}-fold cross-validation needs n >= {CV_FOLDS}, "
+                             f"got n={config.n}")
+    return _estimation_rows(configs, lambda_scale, True, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -555,39 +551,23 @@ class InferenceRow:
 
 def _inference_trial(job):
     config, trial, fit_config, tests = job
-    data, _truth = generate(config, trial)
+    data, _ = generate(config, trial)
     link = builtin_link(config.link_name)
     try:
         fit_result = fit(link, data, fit_config)
     except NlsparseError as exc:
-        failed = str(exc)
-        return trial, [
-            TrialInference(coordinate=cfg.coordinate, score_reject=None, wald_reject=None,
-                           failure=failed)
-            for cfg in tests
-        ]
-
+        return trial, [TrialInference(t.coordinate, None, None, failure=str(exc)) for t in tests]
     out = []
-    for cfg in tests:
-        failure = None
-        score_reject = wald_reject = None
-        ci_low = ci_high = np.nan
+    for cfg in tests:  # a failed Wald test keeps the score test's outcome
+        outcome = dict(coordinate=cfg.coordinate, score_reject=None, wald_reject=None)
         try:
             results = _score_and_wald(link, data, fit_result, cfg)
-            score_reject = next(results).reject
+            outcome["score_reject"] = next(results).reject
             wald = next(results)
-            wald_reject = wald.reject
-            ci_low, ci_high = wald.ci_low, wald.ci_high
+            outcome.update(wald_reject=wald.reject, ci_low=wald.ci_low, ci_high=wald.ci_high)
         except NlsparseError as exc:
-            failure = str(exc)
-        out.append(TrialInference(
-            coordinate=cfg.coordinate,
-            score_reject=score_reject,
-            wald_reject=wald_reject,
-            ci_low=ci_low,
-            ci_high=ci_high,
-            failure=failure,
-        ))
+            outcome["failure"] = str(exc)
+        out.append(TrialInference(**outcome))
     return trial, out
 
 
@@ -631,7 +611,8 @@ def _rejection_rate(outcomes, coordinate, which):
 
 
 def run_inference_table(config: SimConfig, mu_grid: Optional[Sequence[float]] = None,
-                        type1_coordinate: Optional[int] = None, power_coordinate: int = 1,
+                        type1_coordinate: Optional[int] = None,
+                        power_coordinate: int = POWER_COORDINATE,
                         lambda_scale: float = LAMBDA_SCALE, rho_scale: float = RHO_SCALE,
                         significance: float = InferenceConfig.significance,
                         threads: Optional[int] = None):
@@ -656,7 +637,7 @@ def run_inference_table(config: SimConfig, mu_grid: Optional[Sequence[float]] = 
 
     jobs = []
     for mu in mu_grid:
-        cfg = replace(config, beta_mode=ConstantBeta(mu=float(mu)))
+        cfg = replace(config, beta_mode=UniformBeta(float(mu), float(mu)))
         jobs += _inference_jobs(cfg, coordinates, lambda_scale, rho_scale, significance)
     results = iter(_map_trials(_inference_trial, jobs, threads))
     rows = []

@@ -33,8 +33,8 @@ from nlsparse import (
 from nlsparse.cli import main as cli_main
 from nlsparse.diagnostics import _fd_gradient, _fd_hessian, _rel_dev
 from nlsparse.simulate import (
-    ConstantBeta,
     SimConfig,
+    UniformBeta,
     run_baseline_comparison,
     run_estimation_sweep,
     run_inference_trials,
@@ -125,9 +125,9 @@ def test_criterion_04_noiseless_exact_recovery(capsys):
     errors = []
     for seed in range(20):
         cfg = SimConfig(n=200, d=50, s_star=5, noise_sd=0.0, seed=400 + seed, trials=1)
-        data, truth = generate_data(cfg)
+        data, beta_star = generate_data(cfg)
         res = fit(paper, data, FitConfig(lam=1e-4))
-        errors.append(float(np.linalg.norm(res.beta_hat - truth.beta_star)))
+        errors.append(float(np.linalg.norm(res.beta_hat - beta_star)))
     elapsed = time.perf_counter() - started
     mean_err = float(np.mean(errors))
     ok = mean_err <= 1e-2 and elapsed < 60.0
@@ -214,7 +214,7 @@ def inference_runs(request):
                 link_name="paper", seed=20240817, trials=trials)
     started = time.perf_counter()
     runs = {
-        mu: run_inference_trials(SimConfig(beta_mode=ConstantBeta(mu), **base),
+        mu: run_inference_trials(SimConfig(beta_mode=UniformBeta(mu, mu), **base),
                                  coordinates=coordinates, threads=THREADS)
         for mu, coordinates in ((0.0, (11, 1)), (0.25, (1,)), (0.5, (11, 1)))
     }

@@ -294,13 +294,28 @@ class TestSimulateCommand:
         assert lines[1].split(",")[:3] == ["10", "2", "40"]
         assert lines[4].split(",")[:3] == ["10", "3", "80"]
 
+    def test_constant_beta_mode_is_uniform_with_equal_bounds(self, capsys):
+        argv = ["simulate", "--experiment", "sweep", "--d", "10", "--s-star", "2", "--n", "40",
+                "--trials", "2", "--seed", "5", "--threads", "1", "--beta-mode"]
+        constant = run_cli(capsys, *argv, "constant:0.5")
+        assert constant[0] == 0 and constant == run_cli(capsys, *argv, "uniform:0.5,0.5")
+
+    @pytest.mark.parametrize("mode", ["uniform:2,0", "uniform:0,inf", "constant:nan",
+                                      "uniform:1", "constant:", "constant:1,2", "normal:0,1"])
+    def test_bad_beta_mode_exits_1(self, capsys, mode):
+        code, out, err = run_cli(capsys, "simulate", "--experiment", "sweep", "--d", "10",
+                                 "--s-star", "2", "--n", "40", "--trials", "1",
+                                 "--beta-mode", mode)
+        assert code == 1 and out == ""
+        assert f"bad beta mode {mode!r}" in err and "Traceback" not in err
+
     def test_baseline_fewer_rows_than_folds_exits_1(self, capsys, tmp_path):
         out = tmp_path / "base.csv"
         code, _, err = run_cli(capsys, "simulate", "--experiment", "baseline", "--d", "16",
                                "--s-star", "2", "--n-grid", "4", "--trials", "1",
                                "--threads", "1", "--output", str(out))
         assert code == 1
-        assert "cv_folds" in err and "Traceback" not in err
+        assert "n >= 5" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("experiment", ["sweep", "baseline"])
@@ -642,6 +657,14 @@ except AttributeError:
     def test_simulate_keeps_the_users_blas_threads(self, openblas):
         code = f"from nlsparse.__main__ import main; main({_TINY_TABLE!r}); {_PRINT_THREADS}"
         assert _child(["-c", code], blas_threads=2).splitlines()[-1] == "2"
+
+    def test_run_freezes_the_imports_after_choosing_blas_threads(self, openblas):
+        code = ("import atexit, gc, sys\n"
+                "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0,"
+                " sys.modules['nlsparse.simulate']._openblas()[0]()))\n"
+                "from nlsparse.__main__ import run; run()")
+        argv = [*_TINY_TABLE, "--output", os.devnull]
+        assert _child(["-c", code, *argv]).splitlines()[-1] == "True True 1"
 
     def test_fit_keeps_the_blas_default(self, openblas, dataset_csv):
         argv = ["fit", "--data", str(dataset_csv), "--lambda", "0.1"]

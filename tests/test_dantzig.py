@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 from nlsparse import FitConfig, InputError, builtin_link, fit, solve_dantzig
 from nlsparse.dantzig import _solve
 from nlsparse.loss import loss_hessian
-from nlsparse.simulate import ConstantBeta, SimConfig, generate, rate_rule
+from nlsparse.simulate import SimConfig, UniformBeta, generate, rate_rule
 from tests.conftest import hessian_partition
 
 
@@ -55,7 +55,7 @@ def fitted_partition(n, d):
     Returns ``(h_ag, h_gg, unit)``; the radius at rho-scale C is C * unit.
     At n = 100, d = 256 the Hessian h_gg is rank-deficient.
     """
-    cfg = SimConfig(n=n, d=d, s_star=10, seed=7, beta_mode=ConstantBeta(mu=0.5))
+    cfg = SimConfig(n=n, d=d, s_star=10, seed=7, beta_mode=UniformBeta(0.5, 0.5))
     data, _ = generate(cfg, 0)
     link = builtin_link("paper")
     beta = fit(link, data, FitConfig(lam=cfg.lambda_rule())).beta_hat.copy()

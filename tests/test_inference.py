@@ -27,7 +27,7 @@ from nlsparse import (
     wald_estimate,
 )
 from nlsparse import inference, loss
-from nlsparse.simulate import ConstantBeta, SimConfig, generate, rate_rule
+from nlsparse.simulate import SimConfig, UniformBeta, generate, rate_rule
 from nlsparse.solver import FitResult
 from tests.conftest import hessian_partition, random_instance
 from tests.test_dantzig import highs_optimum
@@ -190,9 +190,9 @@ class TestScoreVariance:
 def fitted_instance():
     paper = builtin_link("paper")
     cfg = SimConfig(n=120, d=12, s_star=3, noise_sd=1.0, toeplitz_rho=0.5, seed=77, trials=1)
-    data, truth = generate(cfg, 0)
+    data, beta_star = generate(cfg, 0)
     result = fit(paper, data, FitConfig(lam=cfg.lambda_rule()))
-    return paper, data, truth, result, cfg
+    return paper, data, beta_star, result, cfg
 
 
 class TestScoreTest:
@@ -339,7 +339,7 @@ class TestInferenceConfig:
 def fitted_table_instance(d, link_name):
     """One trial of the inference table (n = 200, mu = 0.5) and its fit."""
     cfg = SimConfig(n=200, d=d, s_star=10, seed=7, link_name=link_name,
-                    beta_mode=ConstantBeta(mu=0.5))
+                    beta_mode=UniformBeta(0.5, 0.5))
     data, _ = generate(cfg, 0)
     link = builtin_link(link_name)
     return link, data, fit(link, data, FitConfig(lam=cfg.lambda_rule()))

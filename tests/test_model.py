@@ -8,7 +8,6 @@ from nlsparse import (
     FitConfig,
     InputError,
     LinkFunction,
-    SparsityGroundTruth,
     builtin_link,
     invert_link,
     load_dataset_csv,
@@ -184,13 +183,6 @@ class TestFitConfig:
 
     def test_numpy_integer_counts_accepted(self):
         assert FitConfig(lam=0.1, max_iter=np.int32(50)).max_iter == 50
-
-
-class TestSparsityGroundTruth:
-    def test_support_count_enforced(self):
-        SparsityGroundTruth(beta_star=np.array([1.0, 0.0, 2.0]), support_size=2)
-        with pytest.raises(InputError):
-            SparsityGroundTruth(beta_star=np.array([1.0, 0.0, 2.0]), support_size=3)
 
 
 class TestCsvLoader:

@@ -2,7 +2,6 @@ import os
 import select
 import time
 from dataclasses import fields, replace
-from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +19,6 @@ from nlsparse import (
 )
 from nlsparse.simulate import (
     BaselineRow,
-    ConstantBeta,
     InferenceRow,
     SimConfig,
     SweepRow,
@@ -85,29 +83,38 @@ class TestSampleDesign:
 
 
 class TestMakeBetaStar:
-    def test_constant_mode(self):
-        truth = make_beta_star(4, 2, ConstantBeta(0.5), _stream_rng(0, 0, 1))
-        np.testing.assert_array_equal(truth.beta_star, [0.5, 0.5, 0.0, 0.0])
-        assert truth.support_size == 2
+    @pytest.mark.parametrize("d, s_star, mu", [(4, 2, 0.5), (12, 10, 0.05), (6, 6, -1.25),
+                                               (5, 3, 0.0)])
+    def test_equal_bounds_fill_the_support_and_draw_nothing(self, d, s_star, mu):
+        rng = _stream_rng(0, 0, 1)
+        beta = make_beta_star(d, s_star, UniformBeta(mu, mu), rng)
+        expected = np.zeros(d)  # the vector the constant mode gave before it became lo == hi
+        expected[:s_star] = mu
+        assert beta.tobytes() == expected.tobytes()
+        assert rng.random(4).tobytes() == _stream_rng(0, 0, 1).random(4).tobytes()
 
     def test_uniform_mode_support_and_range(self):
-        truth = make_beta_star(20, 6, UniformBeta(0.0, 2.0), _stream_rng(3, 0, 1))
-        nz = truth.beta_star[:6]
-        assert np.all(nz >= 0.0) and np.all(nz <= 2.0)
-        assert np.all(truth.beta_star[6:] == 0.0)
-        assert truth.support_size == 6
+        beta = make_beta_star(20, 6, UniformBeta(0.0, 2.0), _stream_rng(3, 0, 1))
+        assert np.all(beta[:6] >= 0.0) and np.all(beta[:6] <= 2.0)
+        assert np.count_nonzero(beta) == 6 and not beta.flags.writeable
 
     def test_empty_support(self):
-        truth = make_beta_star(5, 0, UniformBeta(), _stream_rng(0, 0, 1))
-        np.testing.assert_array_equal(truth.beta_star, np.zeros(5))
+        beta = make_beta_star(5, 0, UniformBeta(), _stream_rng(0, 0, 1))
+        np.testing.assert_array_equal(beta, np.zeros(5))
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.5), (np.nan, 1.0), (0.0, np.nan),
+                                        (-np.inf, 0.0), (0.0, np.inf), (np.inf, np.inf)])
+    def test_uniform_bounds_validated(self, lo, hi):
+        with pytest.raises(InputError, match="finite lo <= hi"):
+            UniformBeta(lo, hi)
 
 
 class TestGenerate:
     def test_noiseless_response_is_exact(self, paper):
         cfg = SimConfig(n=50, d=10, s_star=3, noise_sd=0.0, seed=4, trials=1)
-        data, truth = generate(cfg, 0)
+        data, beta_star = generate(cfg, 0)
         np.testing.assert_array_equal(
-            data.response, np.asarray(paper.eval(data.design @ truth.beta_star))
+            data.response, np.asarray(paper.eval(data.design @ beta_star))
         )
 
     def test_bitwise_reproducible(self):
@@ -116,7 +123,7 @@ class TestGenerate:
         d2, t2 = generate(cfg, 5)
         assert np.array_equal(d1.design, d2.design)
         assert np.array_equal(d1.response, d2.response)
-        assert np.array_equal(t1.beta_star, t2.beta_star)
+        assert np.array_equal(t1, t2)
 
     def test_trials_differ(self):
         cfg = SimConfig(n=30, d=8, s_star=2, seed=9, trials=2)
@@ -126,8 +133,8 @@ class TestGenerate:
 
     def test_noise_variance(self, paper):
         cfg = SimConfig(n=100_000, d=4, s_star=2, noise_sd=1.5, seed=12, trials=1)
-        data, truth = generate(cfg, 0)
-        resid = data.response - np.asarray(paper.eval(data.design @ truth.beta_star))
+        data, beta_star = generate(cfg, 0)
+        resid = data.response - np.asarray(paper.eval(data.design @ beta_star))
         assert np.var(resid) == pytest.approx(1.5 ** 2, rel=0.02)
 
     def test_config_validation(self):
@@ -208,29 +215,25 @@ class TestBaselineComparison:
             "base_mean_l2,base_sd_l2,base_mean_l1,base_sd_l1,trials,failures"
         )
 
-    @pytest.mark.parametrize("options, match", [
-        (dict(cv_folds=1), "cv_folds"),
-        (dict(cv_folds=61), "cv_folds"),
-        (dict(cv_grid_size=0), "cv_grid_size"),
-    ])
-    def test_cv_options_validated_before_any_trial(self, monkeypatch, options, match):
+    @pytest.mark.parametrize("small_n", [1, 4])
+    def test_fewer_rows_than_folds_rejected_before_any_trial(self, monkeypatch, small_n):
         import nlsparse.simulate as sim
 
         def no_trials(*args):
-            raise AssertionError("trials ran before the CV options were validated")
+            raise AssertionError("trials ran before the sample sizes were validated")
 
         monkeypatch.setattr(sim, "_map_trials", no_trials)
         configs = [SimConfig(n=80, d=12, s_star=2, seed=33, trials=2),
-                   SimConfig(n=60, d=12, s_star=2, seed=33, trials=2)]
-        with pytest.raises(InputError, match=match):
-            run_baseline_comparison(configs, **options)
+                   SimConfig(n=small_n, d=12, s_star=2, seed=33, trials=2)]
+        with pytest.raises(InputError, match="needs n >= 5"):
+            run_baseline_comparison(configs)
 
     def test_cv_picks_the_argmin_of_converged_fits(self):
         # the exact path stands in for 5 x 30 fits at tol 1e-10
         config = SimConfig(n=80, d=16, s_star=3, noise_sd=1.0, seed=35)
         raw, _ = generate(config, 0)
         data = Dataset(design=raw.design, response=invert_link(builtin_link("paper"), raw.response))
-        beta, lam = _cv_lasso(data, 5, 30)
+        beta, lam = _cv_lasso(data)
         base = np.std(data.response, ddof=1) * np.sqrt(np.log(16) / 80)
         grid = np.geomspace(base, 1e-4 * base, 30)
         cv_mse = np.zeros(30)
@@ -251,7 +254,7 @@ class TestBaselineComparison:
         config = SimConfig(n=n, d=d, s_star=8, noise_sd=1.0, seed=35)
         raw, _ = generate(config, 0)
         data = Dataset(design=raw.design, response=invert_link(builtin_link("paper"), raw.response))
-        beta, lam = _cv_lasso(data, 5, 30)
+        beta, lam = _cv_lasso(data)
         assert kkt_residual(builtin_link("identity"), data, beta, lam) <= 1e-6 * lam
 
     @pytest.mark.parametrize("n, d", [(80, 16), (200, 128), (200, 256), (200, 512)])
@@ -268,7 +271,7 @@ class TestBaselineComparison:
             return paths[-1]
 
         monkeypatch.setattr(sim, "_lasso_path", recording)
-        beta, lam = _cv_lasso(data, 5, 30)
+        beta, lam = _cv_lasso(data)
         ref_beta, ref_lam = _cv_lasso_on_training_rows(data, 5, 30)
         assert lam == ref_lam
         np.testing.assert_allclose(beta, ref_beta, rtol=0, atol=1e-12)
@@ -277,8 +280,8 @@ class TestBaselineComparison:
         assert all(np.count_nonzero(path, axis=1).max() <= 4 * n // 5 for path in paths[:5])
 
     def test_folds_equal_to_n_run(self):
-        configs = [SimConfig(n=6, d=8, s_star=2, seed=34, trials=1)]
-        row = run_baseline_comparison(configs, cv_folds=6, cv_grid_size=3, threads=1)[0]
+        configs = [SimConfig(n=5, d=8, s_star=2, seed=34, trials=1)]
+        row = run_baseline_comparison(configs, threads=1)[0]
         assert row.failures == 0
 
 
@@ -330,20 +333,19 @@ def fail_in(monkeypatch):
 
 
 _FAILING = SimConfig(n=40, d=8, s_star=2, seed=9, trials=4)
-_CV = dict(cv_folds=2, cv_grid_size=5)
 
 
 def _trial_errors(trial, baseline=False):
     """The (l2, l1) errors of one trial of _FAILING: its fit, or with
     ``baseline`` its cross-validated lasso on link-inverted responses."""
-    data, truth = generate(_FAILING, trial)
+    data, beta_star = generate(_FAILING, trial)
     link = builtin_link(_FAILING.link_name)
     if baseline:
         inverted = Dataset(design=data.design, response=invert_link(link, data.response))
-        estimate = _cv_lasso(inverted, _CV["cv_folds"], _CV["cv_grid_size"])[0]
+        estimate = _cv_lasso(inverted)[0]
     else:
         estimate = fit(link, data, FitConfig(lam=_FAILING.lambda_rule())).beta_hat
-    err = estimate - truth.beta_star
+    err = estimate - beta_star
     return np.linalg.norm(err), np.abs(err).sum()
 
 
@@ -365,7 +367,7 @@ class TestFailureAccounting:
         # trial 1's fit succeeds, but its lasso fails: its fit errors go too
         fail_in("invert_link", {1})
         fail_in("fit", {2})
-        row = run_baseline_comparison([_FAILING], threads=1, **_CV)[0]
+        row = run_baseline_comparison([_FAILING], threads=1)[0]
         assert (row.trials, row.failures) == (4, 2)
         expected = {**_summary([_trial_errors(t) for t in (0, 3)]),
                     **_summary([_trial_errors(t, baseline=True) for t in (0, 3)], "base_")}
@@ -375,7 +377,7 @@ class TestFailureAccounting:
     def test_every_trial_failing_gives_nan_summaries(self, fail_in):
         fail_in("fit", set(range(_FAILING.trials)))
         rows = (run_estimation_sweep([_FAILING], threads=1)[0],
-                run_baseline_comparison([_FAILING], threads=1, **_CV)[0])
+                run_baseline_comparison([_FAILING], threads=1)[0])
         for row in rows:
             assert row.failures == _FAILING.trials
             summaries = [f.name for f in fields(row) if "mean_" in f.name or "sd_" in f.name]
@@ -468,7 +470,7 @@ class TestSizeChain:
     def test_baseline_rows_follow_the_grid(self):
         def rows(ns):
             configs = [SimConfig(n=n, d=12, s_star=2, seed=64, trials=2) for n in ns]
-            return run_baseline_comparison(configs, threads=1, **_CV)
+            return run_baseline_comparison(configs, threads=1)
 
         ascending = dict(zip((40, 60), rows((40, 60))))
         assert rows((60, 40, 60)) == [ascending[n] for n in (60, 40, 60)]
@@ -564,15 +566,38 @@ class TestInferenceTable:
         with pytest.raises(InputError, match="significance"):
             run_inference_trials(cfg, coordinates=(3, 1), significance=1.5)
 
-    def test_empty_mu_grid_rejected_before_any_trial(self, monkeypatch):
+    @pytest.mark.parametrize("mu_grid, match", [([], "mu_grid"), ([0.0, np.inf], "finite"),
+                                                ([np.nan], "finite")])
+    def test_bad_mu_grid_rejected_before_any_trial(self, monkeypatch, mu_grid, match):
         import nlsparse.simulate as sim
 
         def no_trials(*args):
             raise AssertionError("trials ran before the mu grid was validated")
 
         monkeypatch.setattr(sim, "_map_trials", no_trials)
-        with pytest.raises(InputError, match="mu_grid"):
-            run_inference_table(SimConfig(n=30, d=8, s_star=2, seed=1, trials=2), mu_grid=[])
+        with pytest.raises(InputError, match=match):
+            run_inference_table(SimConfig(n=30, d=8, s_star=2, seed=1, trials=2),
+                                mu_grid=mu_grid)
+
+    def test_failed_tests_are_recorded(self, monkeypatch):
+        import nlsparse.simulate as sim
+
+        def score_then_fail(link, data, fit, config):
+            yield SimpleNamespace(reject=True)
+            raise NumericalError("wald failed")
+
+        def failing_fit(*args):
+            raise NumericalError("fit failed")
+
+        cfg = SimConfig(n=60, d=12, s_star=3, seed=44, trials=1)
+        monkeypatch.setattr(sim, "_score_and_wald", score_then_fail)
+        expected = {True: "wald failed", None: "fit failed"}
+        for score_reject in (True, None):  # the Wald half fails; then the fit fails
+            (_, per), = run_inference_trials(cfg, coordinates=(4, 1), threads=1)
+            assert [(o.coordinate, o.score_reject, o.wald_reject, o.failure) for o in per] == [
+                (j, score_reject, None, expected[score_reject]) for j in (4, 1)]
+            assert all(np.isnan(o.ci_low) and np.isnan(o.ci_high) for o in per)
+            monkeypatch.setattr(sim, "fit", failing_fit)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_table_rows_equal_the_per_mu_trials(self, threads):
@@ -580,7 +605,7 @@ class TestInferenceTable:
         rows = run_inference_table(cfg, mu_grid=[0.0, 0.5], threads=threads)
         assert [row.mu for row in rows] == [0.0, 0.5]
         for row in rows:
-            outcomes = run_inference_trials(replace(cfg, beta_mode=ConstantBeta(row.mu)),
+            outcomes = run_inference_trials(replace(cfg, beta_mode=UniformBeta(row.mu, row.mu)),
                                             coordinates=(4, 1), threads=1)
 
             def rate(coordinate, which):
@@ -691,21 +716,24 @@ class TestBlasThreads:
 @pytest.fixture
 def one_job_each():
     """``wrap(worker, index)`` runs ``worker`` in a map of two jobs on two
-    processes, one job in each: the job with ``index(job) == 0`` waits until
-    the other has started, however the processes are scheduled. ``pids()``
-    lists the process of every job started."""
+    processes, one job in each: the call with ``index(*args) == 0`` waits
+    until the one with index 1 has started, however the processes are
+    scheduled; any other index fails the call at once. ``pids()`` lists the
+    process of every call started."""
     started_r, started_w = os.pipe()
     pids_r, pids_w = os.pipe()
     os.set_blocking(pids_r, False)
 
     def wrap(worker, index=lambda job: job):
-        def paired(job):
+        def paired(*args):
             os.write(pids_w, os.getpid().to_bytes(4, "little"))
-            if index(job) == 1:
+            k = index(*args)
+            assert k in (0, 1), f"a paired call needs index 0 or 1, got {k!r}"
+            if k == 1:
                 os.write(started_w, b"1")
             else:
                 assert select.select([started_r], [], [], 60)[0], "the other job never started"
-            return worker(job)
+            return worker(*args)
         return paired
 
     def pids():
@@ -778,8 +806,9 @@ class TestForkedMap:
     def test_two_job_experiment_uses_two_processes(self, monkeypatch, one_job_each):
         import nlsparse.simulate as sim
 
-        monkeypatch.setattr(sim, "_estimation_trial",
-                            one_job_each.wrap(sim._estimation_trial, index=itemgetter(1)))
+        # each job draws its trial once, so generate's trial argument tells the two apart
+        monkeypatch.setattr(sim, "generate",
+                            one_job_each.wrap(sim.generate, index=lambda config, trial: trial))
         configs = [SimConfig(n=40, d=8, s_star=2, seed=5, trials=2)]
         text = csv_text(run_estimation_sweep(configs, threads=2), SweepRow)
         pids = one_job_each.pids()

@@ -103,10 +103,10 @@ class TestFit:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_noiseless_recovery(self, paper, seed):
         cfg = SimConfig(n=120, d=30, s_star=4, noise_sd=0.0, seed=seed, trials=1)
-        data, truth = generate(cfg, 0)
+        data, beta_star = generate(cfg, 0)
         res = fit(paper, data, FitConfig(lam=1e-4))
         assert res.converged
-        assert np.linalg.norm(res.beta_hat - truth.beta_star) <= 1e-2
+        assert np.linalg.norm(res.beta_hat - beta_star) <= 1e-2
 
     def test_converged_kkt_certificate(self, paper):
         cfg = SimConfig(n=100, d=40, s_star=4, noise_sd=1.0, seed=5, trials=1)
