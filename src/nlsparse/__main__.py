@@ -14,13 +14,9 @@ and error, and leaves by ``os._exit``. This skips the interpreter's teardown
 ``nlsparse: interrupted`` and exits 130; a closed standard output prints one
 ``nlsparse: error: ...`` line and exits 1. :func:`main` itself returns its exit
 code and leaves the interpreter running.
-
-:func:`run` imports the command with the garbage collector paused, then
-freezes what the imports made: later collections, forked workers' too, skip it.
 """
 
 import atexit
-import gc
 import os
 import sys
 
@@ -28,39 +24,29 @@ import sys
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _command(argv):
-    """``nlsparse.cli.main``, imported once the BLAS thread count for ``argv`` is set."""
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     if argv[:1] == ["simulate"] and not any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     from .cli import main as cli_main
 
-    return cli_main
-
-
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    return _command(argv)(argv)
+    return cli_main(argv)
 
 
 def run():
     """Run the command of ``sys.argv`` and end the process with its exit code.
 
-    Skipping the teardown loses nothing because, when the command returns or
+    Skipping the teardown loses nothing because, when :func:`main` returns or
     is interrupted, every file the command wrote is closed (``cli._emit``
     writes within ``with``) and every trial process has been reaped (the
     ``finally`` block of ``simulate._map_trials``). Any other exception
-    leaving the command, argparse's ``SystemExit`` included, takes Python's
+    leaving :func:`main`, argparse's ``SystemExit`` included, takes Python's
     normal exit. When the reader of standard output has gone (a
-    ``BrokenPipeError`` from the command or from the flush), the command
+    ``BrokenPipeError`` from :func:`main` or from the flush), the command
     prints one line and exits 1: writing to a closed pipe never exits 0.
     """
-    argv = sys.argv[1:]
     try:
-        gc.disable()
-        command = _command(argv)
-        gc.freeze()
-        gc.enable()
-        code = command(argv)
+        code = main()
     except KeyboardInterrupt:
         print("nlsparse: interrupted", file=sys.stderr)
         code = 130

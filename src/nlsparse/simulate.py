@@ -105,7 +105,7 @@ def rate_rule(scale: float, sigma: float, n: int, d: int) -> float:
 @dataclass(frozen=True)
 class UniformBeta:
     """Nonzero coefficients drawn i.i.d. uniform on [lo, hi]; with lo == hi
-    every one equals lo, and nothing is drawn."""
+    every one equals lo."""
 
     lo: float = 0.0
     hi: float = 2.0
@@ -132,6 +132,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise InputError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
+        if not isinstance(self.beta_mode, UniformBeta):
+            raise InputError(f"beta_mode must be a UniformBeta, got {self.beta_mode!r}")
         if not 1 <= self.s_star <= self.d:
             raise InputError(f"s_star must lie in 1..{self.d}, got {self.s_star}")
         if self.noise_sd < 0.0:
@@ -185,16 +187,12 @@ def sample_design(n: int, d: int, toeplitz_rho: float, rng: np.random.Generator)
     return X
 
 
-def make_beta_star(d: int, s_star: int, beta_mode: UniformBeta,
-                   rng: np.random.Generator) -> np.ndarray:
+def make_beta_star(d: int, s_star: int, beta_mode: UniformBeta, rng: np.random.Generator) -> np.ndarray:
     """The read-only true coefficients: the first s_star per beta_mode, zeros after."""
     if not 0 <= s_star <= d:
         raise InputError(f"s_star must lie in 0..{d}, got {s_star}")
     beta = np.zeros(d)
-    if beta_mode.lo == beta_mode.hi:
-        beta[:s_star] = beta_mode.lo
-    else:
-        beta[:s_star] = rng.uniform(beta_mode.lo, beta_mode.hi, size=s_star)
+    beta[:s_star] = rng.uniform(beta_mode.lo, beta_mode.hi, size=s_star)
     beta.flags.writeable = False
     return beta
 
@@ -556,18 +554,34 @@ def _inference_trial(job):
     try:
         fit_result = fit(link, data, fit_config)
     except NlsparseError as exc:
-        return trial, [TrialInference(t.coordinate, None, None, failure=str(exc)) for t in tests]
+        failed = str(exc)
+        return trial, [
+            TrialInference(coordinate=cfg.coordinate, score_reject=None, wald_reject=None,
+                           failure=failed)
+            for cfg in tests
+        ]
+
     out = []
-    for cfg in tests:  # a failed Wald test keeps the score test's outcome
-        outcome = dict(coordinate=cfg.coordinate, score_reject=None, wald_reject=None)
+    for cfg in tests:
+        failure = None
+        score_reject = wald_reject = None
+        ci_low = ci_high = np.nan
         try:
             results = _score_and_wald(link, data, fit_result, cfg)
-            outcome["score_reject"] = next(results).reject
+            score_reject = next(results).reject
             wald = next(results)
-            outcome.update(wald_reject=wald.reject, ci_low=wald.ci_low, ci_high=wald.ci_high)
+            wald_reject = wald.reject
+            ci_low, ci_high = wald.ci_low, wald.ci_high
         except NlsparseError as exc:
-            outcome["failure"] = str(exc)
-        out.append(TrialInference(**outcome))
+            failure = str(exc)
+        out.append(TrialInference(
+            coordinate=cfg.coordinate,
+            score_reject=score_reject,
+            wald_reject=wald_reject,
+            ci_low=ci_low,
+            ci_high=ci_high,
+            failure=failure,
+        ))
     return trial, out
 
 

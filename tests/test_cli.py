@@ -658,14 +658,6 @@ except AttributeError:
         code = f"from nlsparse.__main__ import main; main({_TINY_TABLE!r}); {_PRINT_THREADS}"
         assert _child(["-c", code], blas_threads=2).splitlines()[-1] == "2"
 
-    def test_run_freezes_the_imports_after_choosing_blas_threads(self, openblas):
-        code = ("import atexit, gc, sys\n"
-                "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0,"
-                " sys.modules['nlsparse.simulate']._openblas()[0]()))\n"
-                "from nlsparse.__main__ import run; run()")
-        argv = [*_TINY_TABLE, "--output", os.devnull]
-        assert _child(["-c", code, *argv]).splitlines()[-1] == "True True 1"
-
     def test_fit_keeps_the_blas_default(self, openblas, dataset_csv):
         argv = ["fit", "--data", str(dataset_csv), "--lambda", "0.1"]
         code = f"from nlsparse.__main__ import main; main({argv!r}); {_PRINT_THREADS}"

@@ -85,13 +85,11 @@ class TestSampleDesign:
 class TestMakeBetaStar:
     @pytest.mark.parametrize("d, s_star, mu", [(4, 2, 0.5), (12, 10, 0.05), (6, 6, -1.25),
                                                (5, 3, 0.0)])
-    def test_equal_bounds_fill_the_support_and_draw_nothing(self, d, s_star, mu):
-        rng = _stream_rng(0, 0, 1)
-        beta = make_beta_star(d, s_star, UniformBeta(mu, mu), rng)
+    def test_equal_bounds_fill_the_support(self, d, s_star, mu):
+        beta = make_beta_star(d, s_star, UniformBeta(mu, mu), _stream_rng(0, 0, 1))
         expected = np.zeros(d)  # the vector the constant mode gave before it became lo == hi
         expected[:s_star] = mu
         assert beta.tobytes() == expected.tobytes()
-        assert rng.random(4).tobytes() == _stream_rng(0, 0, 1).random(4).tobytes()
 
     def test_uniform_mode_support_and_range(self):
         beta = make_beta_star(20, 6, UniformBeta(0.0, 2.0), _stream_rng(3, 0, 1))
@@ -146,6 +144,8 @@ class TestGenerate:
             SimConfig(n=10, d=5, s_star=2, seed=-1)
         with pytest.raises(InputError):
             SimConfig(n=10, d=5, s_star=2, noise_sd=-0.5)
+        with pytest.raises(InputError, match="beta_mode must be a UniformBeta"):
+            SimConfig(n=10, d=5, s_star=2, beta_mode=(0.0, 1.0))
 
     def test_lambda_rule_values(self):
         cfg = SimConfig(n=200, d=128, s_star=10, noise_sd=1.0)
