@@ -104,7 +104,9 @@ def _build_parser():
     ints = _list_of(int)
     p_sim = sub.add_parser("simulate", help="run a synthetic experiment",
                            description="Synthetic experiments writing plot-ready CSV.")
-    p_sim.add_argument("--experiment", choices=["sweep", "baseline", "table"], required=True)
+    p_sim.add_argument("--experiment", choices=["sweep", "baseline", "table"], required=True,
+                       help="table tests the null coordinate s_star+1 (so s_star < d) and "
+                            "coordinate 1 at level 0.05; --delta belongs to test and ci")
     p_sim.add_argument("--n", "--n-grid", dest="n", type=ints,
                        help="comma-separated sample sizes (one for table)")
     p_sim.add_argument("--d", "--d-grid", dest="d", type=ints,
@@ -125,15 +127,8 @@ def _build_parser():
     p_sim.add_argument("--seed", type=int, help=f"base seed (default {sim.SimConfig.seed})")
     p_sim.add_argument("--lambda-rule", dest="lambda_rule", type=float, default=sim.LAMBDA_SCALE,
                        help="C in lambda = C*sigma*sqrt(log(d)/n) (default %(default)g)")
-    p_sim.add_argument("--rho-rule", dest="rho_rule", type=float, default=sim.RHO_SCALE,
-                       help="C in rho = C*sigma*sqrt(log(d)/n) (default %(default)g)")
-    p_sim.add_argument("--delta", type=float, default=InferenceConfig.significance,
-                       help="test level for table (default %(default)g)")
-    p_sim.add_argument("--type1-coordinate", dest="type1_coordinate", type=int,
-                       help="null-true coordinate for the table (default s_star+1)")
-    p_sim.add_argument("--power-coordinate", dest="power_coordinate", type=int,
-                       default=sim.POWER_COORDINATE,
-                       help="null-false coordinate for the table (default %(default)s)")
+    p_sim.add_argument("--rho-rule", dest="rho_rule", type=float,
+                       help=f"table: C in rho = C*sigma*sqrt(log(d)/n) (default {sim.RHO_SCALE:g})")
     p_sim.add_argument("--threads", type=int,
                        help="at most this many processes (>= 1), each trial on one BLAS thread "
                             "(default the usable CPU count)")
@@ -384,6 +379,9 @@ def _cmd_simulate(args) -> int:
     if args.experiment == "table" and max(map(len, grids)) > 1:
         raise InputError("simulate --experiment table takes one value of each of "
                          "--n, --d and --s-star")
+    if args.experiment != "table" and (args.mu_grid is not None or args.rho_rule is not None):
+        flag = "--mu-grid" if args.mu_grid is not None else "--rho-rule"
+        raise InputError(f"{flag} applies to --experiment table only")
     configs = [sim.SimConfig(n=n, d=d, s_star=s_star, **base)
                for d in args.d for s_star in args.s_star for n in args.n]
     if args.experiment == "sweep":
@@ -393,16 +391,9 @@ def _cmd_simulate(args) -> int:
         rows = sim.run_baseline_comparison(configs, args.lambda_rule, threads=args.threads)
         text = sim.csv_text(rows, sim.BaselineRow)
     else:
-        rows = sim.run_inference_table(
-            configs[0],
-            mu_grid=args.mu_grid,
-            type1_coordinate=args.type1_coordinate,
-            power_coordinate=args.power_coordinate,
-            lambda_scale=args.lambda_rule,
-            rho_scale=args.rho_rule,
-            significance=args.delta,
-            threads=args.threads,
-        )
+        rho_scale = sim.RHO_SCALE if args.rho_rule is None else args.rho_rule
+        rows = sim.run_inference_table(configs[0], args.mu_grid, args.lambda_rule, rho_scale,
+                                       args.threads)
         text = sim.csv_text(rows, sim.InferenceRow)
     _emit(text, output)
     return 0

@@ -585,7 +585,7 @@ def _inference_trial(job):
     return trial, out
 
 
-def _inference_jobs(config, coordinates, lambda_scale, rho_scale, significance):
+def _inference_jobs(config, coordinates, lambda_scale, rho_scale):
     # the tests load statistics on first use (normal_quantile): load it here,
     # before _map_trials forks, so that no process loads it again
     import statistics  # noqa: F401
@@ -596,21 +596,21 @@ def _inference_jobs(config, coordinates, lambda_scale, rho_scale, significance):
     for j in map(int, coordinates):
         if not 1 <= j <= config.d:
             raise InputError(f"coordinate {j} outside 1..{config.d}")
-        tests.append(InferenceConfig(coordinate=j, rho=rho, significance=significance))
+        tests.append(InferenceConfig(coordinate=j, rho=rho))
     return [(config, t, fit_config, tuple(tests)) for t in range(config.trials)]
 
 
 def run_inference_trials(config: SimConfig, coordinates: Sequence[int],
                          lambda_scale: float = LAMBDA_SCALE, rho_scale: float = RHO_SCALE,
-                         significance: float = InferenceConfig.significance,
                          threads: Optional[int] = None):
-    """Fit + test every trial of one config at the given coordinates.
+    """Fit + test every trial of one config at the given coordinates, at
+    :class:`InferenceConfig`'s level 0.05.
 
     Returns ``[(trial_index, [TrialInference, ...]), ...]`` ordered by trial.
     :func:`run_inference_table` runs these trials for every mu at once; use
     this directly when per-trial detail (e.g. CI coverage) is needed.
     """
-    jobs = _inference_jobs(config, coordinates, lambda_scale, rho_scale, significance)
+    jobs = _inference_jobs(config, coordinates, lambda_scale, rho_scale)
     return _map_trials(_inference_trial, jobs, threads)
 
 
@@ -625,34 +625,30 @@ def _rejection_rate(outcomes, coordinate, which):
 
 
 def run_inference_table(config: SimConfig, mu_grid: Optional[Sequence[float]] = None,
-                        type1_coordinate: Optional[int] = None,
-                        power_coordinate: int = POWER_COORDINATE,
                         lambda_scale: float = LAMBDA_SCALE, rho_scale: float = RHO_SCALE,
-                        significance: float = InferenceConfig.significance,
                         threads: Optional[int] = None):
-    """Type-I error and power of both tests across signal strengths mu.
+    """Type-I error and power of both tests at level 0.05 across signal strengths mu.
 
-    For each mu the nonzero coefficients are set to the constant mu, the
-    null coordinate (default s_star + 1, outside the support) measures the
-    type-I error, and the power coordinate (default 1, inside the support)
-    measures power as the rejection frequency under the false null. Trials
-    where any requested test failed are reported in ``excluded``; rates are
-    computed over the trials where the specific test succeeded. ``mu_grid``
-    None means 0, 0.05, ..., 0.5; an empty grid raises :class:`InputError`
-    before any trial runs.
+    For each mu the nonzero coefficients are set to the constant mu,
+    coordinate s_star + 1 (outside the support) measures the type-I error,
+    and POWER_COORDINATE (1, inside the support) measures power as the
+    rejection frequency under the false null. Trials where either test
+    failed are reported in ``excluded``; rates are computed over the trials
+    where the specific test succeeded. ``mu_grid`` None means 0, 0.05, ...,
+    0.5. Raises :class:`InputError` before any trial runs when the grid is
+    empty or s_star == d (no null coordinate).
     """
     if mu_grid is None:
         mu_grid = [round(0.05 * k, 2) for k in range(11)]
     if len(mu_grid) == 0:
         raise InputError("mu_grid must hold at least one value")
-    if type1_coordinate is None:
-        type1_coordinate = config.s_star + 1
-    coordinates = (type1_coordinate, power_coordinate)
+    if (null := config.s_star + 1) > config.d:
+        raise InputError(f"the table's null coordinate s_star + 1 = {null} needs s_star < d")
 
     jobs = []
     for mu in mu_grid:
         cfg = replace(config, beta_mode=UniformBeta(float(mu), float(mu)))
-        jobs += _inference_jobs(cfg, coordinates, lambda_scale, rho_scale, significance)
+        jobs += _inference_jobs(cfg, (null, POWER_COORDINATE), lambda_scale, rho_scale)
     results = iter(_map_trials(_inference_trial, jobs, threads))
     rows = []
     for mu in mu_grid:
@@ -662,10 +658,10 @@ def run_inference_table(config: SimConfig, mu_grid: Optional[Sequence[float]] = 
         )
         rows.append(InferenceRow(
             mu=float(mu),
-            score_type1=_rejection_rate(outcomes, type1_coordinate, "score_reject"),
-            score_power=_rejection_rate(outcomes, power_coordinate, "score_reject"),
-            wald_type1=_rejection_rate(outcomes, type1_coordinate, "wald_reject"),
-            wald_power=_rejection_rate(outcomes, power_coordinate, "wald_reject"),
+            score_type1=_rejection_rate(outcomes, null, "score_reject"),
+            score_power=_rejection_rate(outcomes, POWER_COORDINATE, "score_reject"),
+            wald_type1=_rejection_rate(outcomes, null, "wald_reject"),
+            wald_power=_rejection_rate(outcomes, POWER_COORDINATE, "wald_reject"),
             trials=config.trials,
             excluded=excluded,
         ))

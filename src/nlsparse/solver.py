@@ -58,7 +58,8 @@ class FitResult:
     kkt_residual : float
         Stationarity certificate at ``beta_hat`` (see :func:`kkt_residual`).
     converged : bool
-        True when the relative-change stopping rule fired before max_iter.
+        True when a relative step of at most tol met a KKT residual of at most
+        10 * tol (absolute, not relative to lambda) before max_iter.
     stepsize_trace : ndarray
         Accepted stepsize alpha_t per iteration (``len == iterations``).
     step_sqnorm_trace : ndarray
@@ -84,41 +85,38 @@ def soft_threshold(u, a):
     return np.sign(u) * np.maximum(np.abs(u) - a, 0.0)
 
 
-def bb_stepsize(t: int, delta, g, alpha_min: float, alpha_max: float) -> float:
-    """Spectral stepsize <delta, g> / <delta, delta>, clamped to [alpha_min, alpha_max].
+def bb_stepsize(delta, g) -> float:
+    """Spectral stepsize <delta, g> / <delta, delta>, clamped to [ALPHA_MIN, ALPHA_MAX].
 
     ``delta`` and ``g`` are the differences of consecutive iterates and of
-    their gradients. Returns 1 on the first iteration (t = 0), and falls back
-    to 1 whenever the quotient is nonpositive or non-finite (negative
-    curvature along the step, or a stalled step with ``delta = 0``).
+    their gradients. Falls back to 1 whenever the quotient is nonpositive or
+    non-finite (negative curvature along the step, or a stalled step with
+    ``delta = 0``).
     """
-    if t == 0:
+    delta = np.asarray(delta, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if delta.shape != g.shape:
+        raise InputError("delta and g must have the same length")
+    dd = float(delta @ delta)
+    dg = float(delta @ g)
+    alpha = dg / dd if dd > 0.0 else np.nan
+    if not np.isfinite(alpha) or alpha <= 0.0:
         alpha = 1.0
-    else:
-        delta = np.asarray(delta, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if delta.shape != g.shape:
-            raise InputError("delta and g must have the same length")
-        dd = float(delta @ delta)
-        dg = float(delta @ g)
-        alpha = dg / dd if dd > 0.0 else np.nan
-        if not np.isfinite(alpha) or alpha <= 0.0:
-            alpha = 1.0
-    return min(max(alpha, alpha_min), alpha_max)
+    return min(max(alpha, ALPHA_MIN), ALPHA_MAX)
 
 
-def acceptance_check(objective_history, phi_new: float, alpha_t: float, step, zeta: float, memory: int) -> bool:
+def acceptance_check(objective_history, phi_new: float, alpha_t: float, step) -> bool:
     """Nonmonotone sufficient-decrease test.
 
-    Accept iff ``phi_new <= max(window) - zeta * alpha_t / 2 * ||step||^2``
-    where the window is the last ``min(memory + 1, len(history))`` entries of
+    Accept iff ``phi_new <= max(window) - ZETA * alpha_t / 2 * ||step||^2``
+    where the window is the last ``min(MEMORY + 1, len(history))`` entries of
     ``objective_history``, a list or a 1-d array.
     """
     if len(objective_history) == 0:
         raise InputError("objective_history must be nonempty")
     step = np.asarray(step, dtype=float)
-    window = objective_history[-(memory + 1):]
-    bound = float(max(window)) - zeta * alpha_t / 2.0 * float(step @ step)
+    window = objective_history[-(MEMORY + 1):]
+    bound = float(max(window)) - ZETA * alpha_t / 2.0 * float(step @ step)
     return bool(phi_new <= bound)
 
 
@@ -137,15 +135,15 @@ def _objective(link, data, beta, lam):
 def fit(link: LinkFunction, data: Dataset, config: FitConfig) -> FitResult:
     """Minimize L(beta) + lam ||beta||_1 to stationarity.
 
-    Runs the proximal gradient iteration with BB initial stepsizes and the
-    nonmonotone acceptance rule, at this module's line-search constants
-    (``ETA`` ... ``MAX_LINESEARCH``), until the relative iterate change
-    ``||beta_t - beta_{t-1}|| / ||beta_t||`` drops to ``config.tol`` (absolute
-    change when the iterate is zero) AND the KKT residual certifies
-    stationarity at ``10 * config.tol``, or ``config.max_iter`` is reached.
-    The small-step rule alone can trigger during a slow stretch while the
-    iterate is still far from stationary; the certificate makes ``converged``
-    mean what callers expect.
+    Runs the proximal gradient iteration from stepsize 1, then BB stepsizes,
+    with the nonmonotone acceptance rule at this module's line-search
+    constants (``ETA`` ... ``MAX_LINESEARCH``), until the relative iterate
+    change ``||beta_t - beta_{t-1}|| / ||beta_t||`` drops to ``config.tol``
+    (absolute change when the iterate is zero) AND the KKT residual is at
+    most ``10 * config.tol``, an absolute bound that does not scale with
+    lambda; or until ``config.max_iter``. The small-step rule alone can
+    trigger during a slow stretch while the iterate is still far from
+    stationary; the certificate makes ``converged`` mean what callers expect.
 
     The run is deterministic: identical inputs produce a bitwise identical
     :class:`FitResult`.
@@ -176,22 +174,18 @@ def fit(link: LinkFunction, data: Dataset, config: FitConfig) -> FitResult:
     history = [phi]
     alphas: list[float] = []
     step_sqnorms: list[float] = []
-    prev_beta = None
-    prev_grad = None
+    prev_beta = prev_grad = None
     converged = False
     t = 0
 
     while t < config.max_iter:
-        if prev_beta is None:
-            alpha = bb_stepsize(0, None, None, ALPHA_MIN, ALPHA_MAX)
-        else:
-            alpha = bb_stepsize(t, beta - prev_beta, grad - prev_grad, ALPHA_MIN, ALPHA_MAX)
+        alpha = 1.0 if t == 0 else bb_stepsize(beta - prev_beta, grad - prev_grad)
 
         for _ in range(MAX_LINESEARCH):
             cand = soft_threshold(beta - grad / alpha, lam / alpha)
             step = cand - beta
             phi_cand, u, resid = _objective(link, data, cand, lam)
-            if acceptance_check(history, phi_cand, alpha, step, ZETA, MEMORY):
+            if acceptance_check(history, phi_cand, alpha, step):
                 break
             alpha *= ETA
         else:

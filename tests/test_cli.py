@@ -336,6 +336,34 @@ class TestSimulateCommand:
         assert len(err.splitlines()) == 1 and err.startswith("nlsparse: error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["sweep", "baseline"])
+    def test_table_options_exit_1_before_any_trial(self, capsys, monkeypatch, tmp_path,
+                                                   experiment):
+        import nlsparse.simulate as sim
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sim, "_map_trials", no_trials)
+        argv = ["simulate", "--experiment", experiment, "--n", "50", "--d", "10",
+                "--s-star", "2", "--trials", "1", "--threads", "1"]
+        cfg = tmp_path / "sim.json"
+        for flag, key, value in (("--mu-grid", "mu_grid", "0.3"), ("--rho-rule", "rho_rule", "5")):
+            cfg.write_text(json.dumps({key: value}))
+            for extra in ([flag, value], ["--config", str(cfg)]):
+                code, out, err = run_cli(capsys, *argv, *extra)
+                assert (code, out) == (1, "")
+                assert err == f"nlsparse: error: {flag} applies to --experiment table only\n"
+
+    @pytest.mark.parametrize("flag", ["--delta=0.1", "--type1-coordinate=3",
+                                      "--power-coordinate=2"])
+    def test_table_design_has_no_flag(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--experiment", "table", "--n", "40", "--d", "8", "--s-star", "2",
+                  "--trials", "1", "--mu-grid", "0", "--threads", "1", flag])
+        assert excinfo.value.code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_baseline_small(self, capsys, tmp_path):
         out = tmp_path / "base.csv"
         code = main(["simulate", "--experiment", "baseline", "--n", "60", "--d", "10",
@@ -429,6 +457,12 @@ class TestSimulateCommand:
          "trails"),
         (["simulate", "--experiment", "sweep"], {"n_grid": [40, 80], "d": 8, "s_star": 2},
          "n_grid"),
+        (["simulate", "--experiment", "table"], {"n": 40, "d": 8, "s_star": 2, "delta": 0.1},
+         "delta"),
+        (["simulate", "--experiment", "table"],
+         {"n": 40, "d": 8, "s_star": 2, "type1_coordinate": 3}, "type1_coordinate"),
+        (["simulate", "--experiment", "table"],
+         {"n": 40, "d": 8, "s_star": 2, "power_coordinate": 2}, "power_coordinate"),
     ])
     def test_config_key_that_names_no_option_exits_1(self, capsys, monkeypatch, tmp_path,
                                                      command, config, key):
@@ -556,8 +590,7 @@ class TestParser:
             assert flag in out
 
     @pytest.mark.parametrize("command, shown", [
-        ("simulate", ["trials per grid point (default 100)", "(default 0.25)", "(default 3)",
-                      "(default 0.05)", "null-false coordinate for the table (default 1)"]),
+        ("simulate", ["trials per grid point (default 100)", "(default 0.25)", "(default 3)"]),
         ("check", ["(default paper)", "(default 10)", "(default 50)", "RNG seed (default 0)",
                    "(default 0.95)"]),
         ("fit", ["(default paper)"]),

@@ -549,22 +549,9 @@ class TestInferenceTable:
             raise AssertionError("trials ran before the coordinates were validated")
 
         monkeypatch.setattr(sim, "_map_trials", no_trials)
-        cfg = SimConfig(n=30, d=8, s_star=2, seed=1, trials=2)
-        with pytest.raises(InputError):
-            run_inference_table(cfg, mu_grid=[0.0, 0.5], type1_coordinate=9)
-
-    def test_significance_validated_before_any_trial(self, monkeypatch):
-        import nlsparse.simulate as sim
-
-        def no_trials(*args):
-            raise AssertionError("trials ran before the significance was validated")
-
-        monkeypatch.setattr(sim, "_map_trials", no_trials)
-        cfg = SimConfig(n=30, d=8, s_star=2, seed=1, trials=2)
-        with pytest.raises(InputError, match="significance"):
-            run_inference_table(cfg, mu_grid=[0.0, 0.5], significance=1.5)
-        with pytest.raises(InputError, match="significance"):
-            run_inference_trials(cfg, coordinates=(3, 1), significance=1.5)
+        cfg = SimConfig(n=30, d=8, s_star=8, seed=1, trials=2)  # no null coordinate 9
+        with pytest.raises(InputError, match="s_star \\+ 1 = 9"):
+            run_inference_table(cfg, mu_grid=[0.0, 0.5])
 
     @pytest.mark.parametrize("mu_grid, match", [([], "mu_grid"), ([0.0, np.inf], "finite"),
                                                 ([np.nan], "finite")])

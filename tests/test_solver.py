@@ -43,50 +43,59 @@ class TestSoftThreshold:
 
 
 class TestBBStepsize:
-    def test_first_iteration_is_one(self):
-        assert bb_stepsize(0, None, None, 1e-30, 1e30) == 1.0
+    def test_first_iteration_is_one(self, paper):
+        # fit tries stepsize 1 first, so the first accepted one is ETA**k, k >= 0
+        cfg = SimConfig(n=60, d=8, s_star=2, noise_sd=0.5, seed=13)
+        data, _ = generate(cfg, 0)
+        first = fit(paper, data, FitConfig(lam=cfg.lambda_rule())).stepsize_trace[0]
+        assert any(first == solver.ETA ** k for k in range(solver.MAX_LINESEARCH))
 
     def test_equal_vectors(self):
-        assert bb_stepsize(1, np.array([1.0, 2.0]), np.array([1.0, 2.0]), 1e-30, 1e30) == 1.0
+        assert bb_stepsize(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 1.0
 
     def test_quotient(self):
         # <d,g>/<d,d> = 6/4
-        assert bb_stepsize(1, np.array([2.0]), np.array([3.0]), 1e-30, 1e30) == 1.5
+        assert bb_stepsize(np.array([2.0]), np.array([3.0])) == 1.5
 
     def test_negative_curvature_falls_back(self):
-        assert bb_stepsize(1, np.array([1.0]), np.array([-1.0]), 1e-30, 1e30) == 1.0
+        assert bb_stepsize(np.array([1.0]), np.array([-1.0])) == 1.0
 
     def test_zero_step_falls_back(self):
-        assert bb_stepsize(3, np.zeros(2), np.array([1.0, 1.0]), 1e-30, 1e30) == 1.0
+        assert bb_stepsize(np.zeros(2), np.array([1.0, 1.0])) == 1.0
 
-    def test_clamping(self):
-        assert bb_stepsize(1, np.array([1.0]), np.array([100.0]), 1e-30, 10.0) == 10.0
-        assert bb_stepsize(1, np.array([100.0]), np.array([1.0]), 0.5, 1e30) == 0.5
+    def test_clamping(self, monkeypatch):
+        monkeypatch.setattr(solver, "ALPHA_MAX", 10.0)
+        assert bb_stepsize(np.array([1.0]), np.array([100.0])) == 10.0
+        monkeypatch.setattr(solver, "ALPHA_MIN", 0.5)
+        assert bb_stepsize(np.array([100.0]), np.array([1.0])) == 0.5
 
 
 class TestAcceptanceCheck:
     def test_zero_step_keeps_equal_value(self):
-        assert acceptance_check([5.0], 5.0, 1.0, np.zeros(2), 1e-5, 5)
+        assert acceptance_check([5.0], 5.0, 1.0, np.zeros(2))
 
-    def test_simple_decrease(self):
+    def test_simple_decrease(self, monkeypatch):
         # bound = 5.0 - 0.5
-        assert acceptance_check([5.0], 4.0, 1.0, np.array([1.0]), 1.0, 5)
-        assert not acceptance_check([5.0], 4.6, 1.0, np.array([1.0]), 1.0, 5)
+        monkeypatch.setattr(solver, "ZETA", 1.0)
+        assert acceptance_check([5.0], 4.0, 1.0, np.array([1.0]))
+        assert not acceptance_check([5.0], 4.6, 1.0, np.array([1.0]))
 
-    def test_window_allows_increase_over_latest(self):
+    def test_window_allows_increase_over_latest(self, monkeypatch):
         # window max is 10, so 9.0 passes even though the latest value is 3.0
-        assert acceptance_check([3.0, 10.0], 9.0, 1.0, np.array([1.0]), 1.0, 5)
+        monkeypatch.setattr(solver, "ZETA", 1.0)
+        assert acceptance_check([3.0, 10.0], 9.0, 1.0, np.array([1.0]))
 
-    def test_window_length_limited_by_memory(self):
-        # memory=0: window is only the latest value 3.0
-        assert not acceptance_check([10.0, 3.0], 9.0, 1.0, np.zeros(1), 1e-5, 0)
+    def test_window_length_limited_by_memory(self, monkeypatch):
+        # MEMORY = 0: window is only the latest value 3.0
+        monkeypatch.setattr(solver, "MEMORY", 0)
+        assert not acceptance_check([10.0, 3.0], 9.0, 1.0, np.zeros(1))
 
     def test_empty_history_rejected(self):
         with pytest.raises(InputError):
-            acceptance_check([], 1.0, 1.0, np.zeros(1), 1e-5, 5)
+            acceptance_check([], 1.0, 1.0, np.zeros(1))
 
     def test_nan_candidate_rejected(self):
-        assert not acceptance_check([5.0], np.nan, 1.0, np.zeros(1), 1e-5, 5)
+        assert not acceptance_check([5.0], np.nan, 1.0, np.zeros(1))
 
 
 class TestFit:
