@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage or input errors, 2 numerical or statistical
 failures. Option precedence is command line > --config JSON file > built-in
-defaults: the file's values become the subcommand's defaults, and the command
-line is parsed again over them. Result documents are line-oriented
+defaults: the file's values become flags placed before the command line's,
+and argparse keeps an option's last value. Result documents are line-oriented
 ``key=value`` pairs followed by a sparse coefficient block (``beta <index>
 <value>`` lines, 1-based indices), chosen for easy diffing; simulate writes
 the CSV schemas of :mod:`nlsparse.simulate`.
@@ -50,7 +50,7 @@ def _add_common(p):
 
 
 def _add_fit_options(p):
-    p.add_argument("--data", help="dataset CSV: first column y, then x1..xd")
+    p.add_argument("--data", required=True, help="dataset CSV: first column y, then x1..xd")
     p.add_argument("--link", default="paper",
                    help="link function: identity or paper (2x+cos x) (default %(default)s)")
     p.add_argument("--lambda", dest="lam", type=float,
@@ -75,6 +75,21 @@ def _add_inference_options(p):
                    help="set rho = C*sigma*sqrt(log(d)/n) with this C (default %(default)g)")
 
 
+# check's defaults, applied by _cmd_check, so that after the parse None means "not set"
+_CHECK_DEFAULTS = {"link": "paper", "n": 10, "trials": 50, "seed": 0,
+                   "toeplitz_rho": sim.SimConfig.toeplitz_rho}
+
+# The options that only some experiments of simulate, or kinds of check, read:
+# command -> (the option that chooses, {option: the choices that read it}).
+_MODE_OPTIONS = {
+    "simulate": ("experiment", {"mu_grid": ["table"], "rho_rule": ["table"],
+                                "beta_mode": ["sweep", "baseline"]}),
+    "check": ("kind", dict.fromkeys(["link", "n", "trials", "seed"], ["gradients"])
+              | dict.fromkeys(["matrix", "toeplitz_rho", "k", "s_star", "k_star"],
+                              ["sparse-eigen"])),
+}
+
+
 def _build_parser():
     parser = _Parser(prog="nlsparse",
                      description="Sparse nonlinear regression: estimation and inference.")
@@ -95,11 +110,11 @@ def _build_parser():
     p_test.set_defaults(func=_cmd_test)
 
     p_ci = sub.add_parser("ci", help="confidence interval for one coordinate",
-                          description="Wald confidence interval for one coordinate.")
+                          description="Wald test and confidence interval for one coordinate.")
     _add_fit_options(p_ci)
     _add_inference_options(p_ci)
     _add_common(p_ci)
-    p_ci.set_defaults(func=_cmd_ci)
+    p_ci.set_defaults(func=_cmd_test, method="wald")
 
     ints = _list_of(int)
     p_sim = sub.add_parser("simulate", help="run a synthetic experiment",
@@ -121,7 +136,8 @@ def _build_parser():
     p_sim.add_argument("--toeplitz-rho", dest="toeplitz_rho", type=float,
                        help=f"design correlation decay (default {sim.SimConfig.toeplitz_rho:g})")
     p_sim.add_argument("--beta-mode", dest="beta_mode",
-                       help='"uniform:lo,hi" or "constant:mu" (default uniform:0,2)')
+                       help='sweep and baseline: "uniform:lo,hi" or "constant:mu" '
+                            '(default uniform:0,2)')
     p_sim.add_argument("--trials", type=int, default=100,
                        help="trials per grid point (default %(default)s)")
     p_sim.add_argument("--seed", type=int, help=f"base seed (default {sim.SimConfig.seed})")
@@ -138,38 +154,46 @@ def _build_parser():
     p_check = sub.add_parser("check", help="run a numerical diagnostic",
                              description="Derivative or sparse-eigenvalue diagnostics.")
     p_check.add_argument("--kind", choices=["gradients", "sparse-eigen"], required=True)
-    p_check.add_argument("--link", default="paper",
-                         help="link name for gradient checks (default %(default)s)")
-    p_check.add_argument("--n", type=int, default=10,
-                         help="rows per gradient-check instance (default %(default)s)")
+    p_check.add_argument("--link", help=f"gradients: link (default {_CHECK_DEFAULTS['link']})")
+    p_check.add_argument("--n", type=int,
+                         help=f"gradients: rows per instance (default {_CHECK_DEFAULTS['n']})")
     p_check.add_argument("--d", type=int, help="dimension (default 5 for gradients; "
                                                "sparse-eigen cap 24)")
-    p_check.add_argument("--trials", type=int, default=50,
-                         help="gradient-check instances (default %(default)s)")
-    p_check.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
-    p_check.add_argument("--matrix", help="CSV file with a square matrix for sparse-eigen")
+    p_check.add_argument("--trials", type=int,
+                         help=f"gradients: instances (default {_CHECK_DEFAULTS['trials']})")
+    p_check.add_argument("--seed", type=int,
+                         help=f"gradients: RNG seed (default {_CHECK_DEFAULTS['seed']})")
+    p_check.add_argument("--matrix", help="sparse-eigen: CSV file with a square matrix")
     p_check.add_argument("--toeplitz-rho", dest="toeplitz_rho", type=float,
-                         default=sim.SimConfig.toeplitz_rho,
-                         help="build the Toeplitz covariance rho^|j-k| instead of --matrix "
-                              "(default %(default)g)")
-    p_check.add_argument("--k", type=int, help="sparsity level for the eigen report")
-    p_check.add_argument("--s-star", dest="s_star", type=int, help="support size for the condition")
-    p_check.add_argument("--k-star", dest="k_star", type=int, help="relaxation size for the condition")
+                         help="sparse-eigen: build the Toeplitz covariance rho^|j-k| instead of "
+                              f"--matrix (default {_CHECK_DEFAULTS['toeplitz_rho']:g})")
+    p_check.add_argument("--k", type=int, help="sparse-eigen: sparsity level of the report")
+    p_check.add_argument("--s-star", dest="s_star", type=int,
+                         help="sparse-eigen: support size for the condition")
+    p_check.add_argument("--k-star", dest="k_star", type=int,
+                         help="sparse-eigen: relaxation size for the condition")
     _add_common(p_check)
     p_check.set_defaults(func=_cmd_check)
-
-    for command in sub.choices.values():  # main reads a --config file through it
-        command.set_defaults(parser=command)
-    return parser
+    return parser, sub.choices
 
 
-def _config_defaults(path, command):
-    """The --config file at ``path`` as defaults for ``command``'s options.
+def _reject_ignored_options(args):
+    """An input error for a set option that the chosen experiment or kind does not read."""
+    chooser, readers = _MODE_OPTIONS.get(args.subcommand, (None, {}))
+    for dest, modes in readers.items():
+        if getattr(args, dest) is not None and getattr(args, chooser) not in modes:
+            raise InputError(f"--{dest.replace('_', '-')} applies to --{chooser} "
+                             f"{' and '.join(modes)} only")
 
-    Each value is read by its option's ``type`` from the text its flag would
-    hold, a JSON list as comma-separated text; null keeps the default. A key
-    that names no option, and a list for an option that takes one value, are
-    input errors.
+
+def _config_flags(path, command):
+    """The --config file at ``path`` as ``--option=text`` flags of ``command``.
+
+    Each value becomes the text its flag would hold, a JSON list
+    comma-separated; null leaves the option to the command line or its
+    default. A key that names no option, and a value that its option's
+    ``type`` cannot read (a list for an option that takes one value, a number
+    for a path or a name), are input errors.
     """
     import json
 
@@ -182,26 +206,28 @@ def _config_defaults(path, command):
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError(f"config {path} must hold a JSON object")
-    kinds = {a.dest: a.type or str for a in command._actions
-             if a.option_strings and a.dest not in ("help", "config")}
-    values = {}
+    actions = {a.dest: a for a in command._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    flags = []
     for key, value in cfg.items():
-        if key not in kinds:
+        if key not in actions:
             raise InputError(f"config {path}: no option {key}")
-        kind = kinds[key]
         if value is None:
             continue
+        kind = actions[key].type or str
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
         try:
             if kind is str and not isinstance(value, str):  # a path or a name, not a number
                 raise ValueError
             if isinstance(value, list) and not getattr(kind, "takes_list", False):
                 raise ValueError
-            values[key] = kind(text)
+            kind(text)
         except ValueError:
             raise InputError(f"config {path}: {key} must be {kind.__name__}, "
                              f"got {value!r}") from None
-    return values
+        # the = keeps a value that starts with - (a list of negative numbers) a value
+        flags.append(f"{actions[key].option_strings[0]}={text}")
+    return flags
 
 
 def _user_options(args, config_type, skip=(), keys=None):
@@ -250,8 +276,6 @@ def _rule_value(flag, value, scale, sigma, data):
 
 
 def _fit_from_args(args):
-    if not args.data:
-        raise InputError("--data is required")
     data = load_dataset_csv(args.data)
     link = builtin_link(args.link)
     lam = _rule_value("lambda", args.lam, args.lambda_rule, args.sigma, data)
@@ -279,28 +303,24 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _inference_config(args, data):
-    return InferenceConfig(
+def _cmd_test(args) -> int:
+    """The test document of ``args.method``; ``ci`` is the method ``wald``."""
+    data, link, lam, result = _fit_from_args(args)
+    inf_cfg = InferenceConfig(
         coordinate=args.coordinate,
         rho=_rule_value("rho", args.rho, args.rho_rule, args.sigma, data),
         **_user_options(args, InferenceConfig, skip=("coordinate", "rho"),
                         keys={"significance": "delta"}),
     )
-
-
-def _dantzig_pairs(dres):
-    return [
-        ("dantzig_l1", dres.l1_norm),
-        ("dantzig_pivots", dres.pivots),
-        ("dantzig_vacuous", dres.vacuous),
-    ]
-
-
-def _cmd_test(args) -> int:
-    data, link, lam, result = _fit_from_args(args)
-    inf_cfg = _inference_config(args, data)
-    pairs = [
-        ("command", "test"),
+    if args.method == "score":
+        res = score_test(link, data, result, inf_cfg)
+        estimate = [("f_s", res.f_s), ("sigma_s", res.sigma_s)]
+    else:
+        res = wald_estimate(link, data, result, inf_cfg)
+        estimate = [("alpha_bar", res.alpha_bar), ("ci_low", res.ci_low),
+                    ("ci_high", res.ci_high), ("sigma_w", res.sigma_w)]
+    _emit(_doc([
+        ("command", args.subcommand),
         ("method", args.method),
         ("coordinate", inf_cfg.coordinate),
         ("null_value", inf_cfg.null_value),
@@ -308,45 +328,13 @@ def _cmd_test(args) -> int:
         ("lambda", lam),
         *_fit_pairs(result),
         ("rho", inf_cfg.rho),
-    ]
-    if args.method == "score":
-        res = score_test(link, data, result, inf_cfg)
-        pairs += [
-            ("statistic", res.statistic),
-            ("p_value", res.p_value),
-            ("reject", res.reject),
-            ("f_s", res.f_s),
-            ("sigma_s", res.sigma_s),
-        ]
-    else:
-        res = wald_estimate(link, data, result, inf_cfg)
-        pairs += [
-            ("statistic", res.statistic),
-            ("p_value", res.p_value),
-            ("reject", res.reject),
-            ("alpha_bar", res.alpha_bar),
-            ("sigma_w", res.sigma_w),
-        ]
-    _emit(_doc(pairs + _dantzig_pairs(res.d_hat)), args.output)
-    return 0
-
-
-def _cmd_ci(args) -> int:
-    data, link, lam, result = _fit_from_args(args)
-    inf_cfg = _inference_config(args, data)
-    res = wald_estimate(link, data, result, inf_cfg)
-    _emit(_doc([
-        ("command", "ci"),
-        ("coordinate", inf_cfg.coordinate),
-        ("delta", inf_cfg.significance),
-        ("lambda", lam),
-        *_fit_pairs(result),
-        ("rho", inf_cfg.rho),
-        ("alpha_bar", res.alpha_bar),
-        ("ci_low", res.ci_low),
-        ("ci_high", res.ci_high),
-        ("sigma_w", res.sigma_w),
-        *_dantzig_pairs(res.d_hat),
+        ("statistic", res.statistic),
+        ("p_value", res.p_value),
+        ("reject", res.reject),
+        *estimate,
+        ("dantzig_l1", res.d_hat.l1_norm),
+        ("dantzig_pivots", res.d_hat.pivots),
+        ("dantzig_vacuous", res.d_hat.vacuous),
     ]), args.output)
     return 0
 
@@ -379,9 +367,6 @@ def _cmd_simulate(args) -> int:
     if args.experiment == "table" and max(map(len, grids)) > 1:
         raise InputError("simulate --experiment table takes one value of each of "
                          "--n, --d and --s-star")
-    if args.experiment != "table" and (args.mu_grid is not None or args.rho_rule is not None):
-        flag = "--mu-grid" if args.mu_grid is not None else "--rho-rule"
-        raise InputError(f"{flag} applies to --experiment table only")
     configs = [sim.SimConfig(n=n, d=d, s_star=s_star, **base)
                for d in args.d for s_star in args.s_star for n in args.n]
     if args.experiment == "sweep":
@@ -412,6 +397,9 @@ def _load_matrix_csv(path):
 def _cmd_check(args) -> int:
     from .diagnostics import check_gradients, sparse_eigen_report
 
+    for name, default in _CHECK_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.kind == "gradients":
         if args.seed < 0:
             raise InputError(f"--seed must be >= 0, got {args.seed}")
@@ -452,12 +440,17 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    finder = _Parser(prog="nlsparse", usage=argparse.SUPPRESS, add_help=False)
+    finder.add_argument("--config")
     try:
-        if args.config:  # the file's values become the defaults the flags override
-            args.parser.set_defaults(**_config_defaults(args.config, args.parser))
-            args = parser.parse_args(argv)
+        if argv and argv[0] in commands:  # the command comes first: nlsparse has no options
+            config = finder.parse_known_args(argv[1:])[0].config
+            if config:  # flags after the file's win: argparse keeps an option's last value
+                argv[1:1] = _config_flags(config, commands[argv[0]])
+        args = parser.parse_args(argv)
+        _reject_ignored_options(args)
         return args.func(args)
     except InputError as exc:
         print(f"nlsparse: error: {exc}", file=sys.stderr)

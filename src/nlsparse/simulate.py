@@ -130,6 +130,9 @@ class SimConfig:
     trials: int = 1
 
     def __post_init__(self):
+        for name in ("n", "d", "s_star", "trials", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1 or self.d < 1:
             raise InputError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
         if not isinstance(self.beta_mode, UniformBeta):
@@ -140,7 +143,7 @@ class SimConfig:
             raise InputError(f"noise_sd must be nonnegative, got {self.noise_sd}")
         if not 0.0 <= self.toeplitz_rho < 1.0:
             raise InputError(f"toeplitz_rho must lie in [0, 1), got {self.toeplitz_rho}")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
+        if not 0 <= self.seed < 2 ** 64:
             raise InputError("seed must be an integer in [0, 2^64)")
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")

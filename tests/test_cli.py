@@ -249,6 +249,126 @@ class TestCiCommand:
         assert int(doc["dantzig_pivots"]) >= 1
         assert float(doc["dantzig_l1"]) > 0.0
 
+    def test_null_value_moves_the_test_not_the_interval(self, capsys, dataset_csv):
+        argv = ["ci", "--data", str(dataset_csv), "--lambda-rule", "3", "--sigma", "1",
+                "--coordinate", "5"]
+        docs = []
+        for null_value in ("0", "5"):
+            code, out, _ = run_cli(capsys, *argv, "--null-value", null_value)
+            assert code == 0
+            docs.append(parse_doc(out)[0])
+        at_zero, at_five = docs
+        assert (at_zero["reject"], at_five["reject"]) == ("false", "true")
+        for key in ("statistic", "p_value"):
+            assert at_zero[key] != at_five[key]
+        for key in ("alpha_bar", "ci_low", "ci_high", "sigma_w"):
+            assert at_zero[key] == at_five[key]
+
+    def test_ci_is_the_wald_test(self, capsys, dataset_csv):
+        argv = ["--data", str(dataset_csv), "--lambda-rule", "3", "--sigma", "1",
+                "--coordinate", "1", "--delta", "0.05"]
+        code, ci, _ = run_cli(capsys, "ci", *argv)
+        assert code == 0
+        code, wald, _ = run_cli(capsys, "test", *argv, "--method", "wald")
+        assert code == 0
+        assert ci.splitlines()[0] == "command=ci" and wald.splitlines()[0] == "command=test"
+        assert ci.splitlines()[1:] == wald.splitlines()[1:]
+        assert "method=wald" in ci and "ci_low=" in wald
+
+
+class TestConfigFile:
+    """A --config file can set every option of its command, the required ones too."""
+
+    def test_sets_the_required_options_of_test(self, capsys, dataset_csv, tmp_path):
+        cfg = tmp_path / "test.json"
+        cfg.write_text(json.dumps({"data": str(dataset_csv), "lambda_rule": 3, "sigma": 1,
+                                   "coordinate": 5, "method": "score"}))
+        flags = ["test", "--data", str(dataset_csv), "--lambda-rule", "3", "--sigma", "1"]
+        from_file = run_cli(capsys, "test", "--config", str(cfg))
+        assert from_file[0] == 0
+        assert from_file == run_cli(capsys, *flags, "--coordinate", "5", "--method", "score")
+        # a flag wins over the file
+        overridden = run_cli(capsys, "test", "--config", str(cfg), "--method", "wald",
+                             "--coordinate", "1")
+        assert overridden[0] == 0
+        assert overridden == run_cli(capsys, *flags, "--coordinate", "1", "--method", "wald")
+
+    def test_sets_the_experiment_of_simulate(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.json"
+        # a list that starts with - stays one value
+        cfg.write_text(json.dumps({"experiment": "table", "n": 40, "d": 8, "s_star": 2,
+                                   "mu_grid": [-0.5, 0], "trials": 1, "threads": 1}))
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()] == ["mu", "-0.5", "0"]
+        assert run_cli(capsys, "simulate", "--experiment", "table", "--n", "40", "--d", "8",
+                       "--s-star", "2", "--mu-grid=-0.5,0", "--trials", "1",
+                       "--threads", "1")[:2] == (0, out)
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg),
+                               "--experiment", "sweep", "--mu-grid", "0")
+        assert (code, out) == (1, "")  # the flag wins, and sweep reads no --mu-grid
+
+    def test_sets_the_kind_of_check(self, capsys, tmp_path):
+        cfg = tmp_path / "check.json"
+        cfg.write_text(json.dumps({"kind": "sparse-eigen", "d": 8, "toeplitz_rho": 0.5,
+                                   "k": 2}))
+        from_file = run_cli(capsys, "check", "--config", str(cfg))
+        assert from_file[0] == 0
+        assert from_file == run_cli(capsys, "check", "--kind", "sparse-eigen", "--d", "8",
+                                    "--toeplitz-rho", "0.5", "--k", "2")
+        assert run_cli(capsys, "check", "--config", str(cfg), "--k", "3")[1].startswith("k=3\n")
+
+    def test_value_outside_the_choices_exits_1(self, capsys, dataset_csv, tmp_path):
+        cfg = tmp_path / "test.json"
+        cfg.write_text(json.dumps({"data": str(dataset_csv), "lam": 0.1, "coordinate": 1,
+                                   "method": "bogus"}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["test", "--config", str(cfg)])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("error:") == 1
+        assert "argument --method: invalid choice: 'bogus'" in captured.err
+
+
+# Each option that only some experiments or kinds read, a value for it, and a
+# command that chooses a mode that does not read it.
+_SIM = ["simulate", "--n", "40", "--d", "8", "--s-star", "2", "--trials", "1", "--threads", "1"]
+_IGNORED_OPTIONS = [
+    (_SIM + ["--experiment", "table"], "beta_mode", "uniform:5,9",
+     "--experiment sweep and baseline"),
+    (["check", "--kind", "sparse-eigen", "--d", "8"], "link", "nosuch", "--kind gradients"),
+    (["check", "--kind", "sparse-eigen", "--d", "8"], "n", -4, "--kind gradients"),
+    (["check", "--kind", "sparse-eigen", "--d", "8"], "trials", 0, "--kind gradients"),
+    (["check", "--kind", "sparse-eigen", "--d", "8"], "seed", 3, "--kind gradients"),
+    (["check", "--kind", "gradients"], "matrix", "nonexistent.csv", "--kind sparse-eigen"),
+    (["check", "--kind", "gradients"], "toeplitz_rho", 0.5, "--kind sparse-eigen"),
+    (["check", "--kind", "gradients"], "k", 99, "--kind sparse-eigen"),
+    (["check", "--kind", "gradients"], "s_star", 2, "--kind sparse-eigen"),
+    (["check", "--kind", "gradients"], "k_star", 7, "--kind sparse-eigen"),
+]
+
+
+@pytest.mark.parametrize("argv, key, value, readers", _IGNORED_OPTIONS,
+                         ids=[case[1] for case in _IGNORED_OPTIONS])
+def test_option_the_mode_ignores_exits_1_before_any_work(capsys, monkeypatch, tmp_path,
+                                                         argv, key, value, readers):
+    import nlsparse.diagnostics as diagnostics
+    import nlsparse.simulate as sim
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    for module, name in ((sim, "_map_trials"), (diagnostics, "check_gradients"),
+                         (diagnostics, "sparse_eigen_report")):
+        monkeypatch.setattr(module, name, no_work)
+    flag = "--" + key.replace("_", "-")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    for extra in ([f"{flag}={value}"], ["--config", str(cfg)]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, out) == (1, "")
+        assert err == f"nlsparse: error: {flag} applies to {readers} only\n"
+
 
 class TestSimulateCommand:
     def test_sweep_csv_and_seed_determinism(self, capsys, tmp_path):

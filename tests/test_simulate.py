@@ -146,6 +146,14 @@ class TestGenerate:
             SimConfig(n=10, d=5, s_star=2, noise_sd=-0.5)
         with pytest.raises(InputError, match="beta_mode must be a UniformBeta"):
             SimConfig(n=10, d=5, s_star=2, beta_mode=(0.0, 1.0))
+        for sizes in ({"n": 100.5}, {"d": 10.0}, {"s_star": 2.5}, {"trials": 2.5},
+                      {"n": "100"}):
+            name = next(iter(sizes))
+            with pytest.raises(InputError, match=f"{name} must be an integer"):
+                SimConfig(**{"n": 100, "d": 10, "s_star": 2, **sizes})
+        numpy_sizes = SimConfig(n=np.int64(20), d=np.int32(5), s_star=np.int8(2),
+                                trials=np.uint16(1))
+        assert run_estimation_sweep([numpy_sizes], threads=1)[0].failures == 0
 
     def test_lambda_rule_values(self):
         cfg = SimConfig(n=200, d=128, s_star=10, noise_sd=1.0)
