@@ -163,15 +163,18 @@ def _build_parser():
                          help=f"gradients: instances (default {_CHECK_DEFAULTS['trials']})")
     p_check.add_argument("--seed", type=int,
                          help=f"gradients: RNG seed (default {_CHECK_DEFAULTS['seed']})")
-    p_check.add_argument("--matrix", help="sparse-eigen: CSV file with a square matrix")
+    p_check.add_argument("--matrix", help="sparse-eigen: CSV file with a square matrix "
+                                          "(instead of --d and --toeplitz-rho)")
     p_check.add_argument("--toeplitz-rho", dest="toeplitz_rho", type=float,
                          help="sparse-eigen: build the Toeplitz covariance rho^|j-k| instead of "
                               f"--matrix (default {_CHECK_DEFAULTS['toeplitz_rho']:g})")
     p_check.add_argument("--k", type=int, help="sparse-eigen: sparsity level of the report")
     p_check.add_argument("--s-star", dest="s_star", type=int,
-                         help="sparse-eigen: support size for the condition")
+                         help="sparse-eigen: support size for the condition "
+                              "(with --k-star)")
     p_check.add_argument("--k-star", dest="k_star", type=int,
-                         help="sparse-eigen: relaxation size for the condition")
+                         help="sparse-eigen: relaxation size for the condition "
+                              "(with --s-star)")
     _add_common(p_check)
     p_check.set_defaults(func=_cmd_check)
     return parser, sub.choices
@@ -397,6 +400,9 @@ def _load_matrix_csv(path):
 def _cmd_check(args) -> int:
     from .diagnostics import check_gradients, sparse_eigen_report
 
+    for name in ("d", "toeplitz_rho"):  # before the defaults fill in toeplitz_rho
+        if args.matrix is not None and getattr(args, name) is not None:
+            raise InputError(f"--matrix and --{name.replace('_', '-')} are mutually exclusive")
     for name, default in _CHECK_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)

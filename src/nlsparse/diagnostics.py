@@ -82,11 +82,16 @@ def sparse_eigenvalues(M, k: int):
 
 def sparse_eigen_report(M, k: int, s_star: Optional[int] = None,
                         k_star: Optional[int] = None) -> SparseEigenReport:
-    """Sparse eigenvalues at k, plus the regularity check when (s*, k*) given."""
+    """Sparse eigenvalues at k, plus the regularity check when (s*, k*) given.
+
+    Raises :class:`InputError` when only one of s_star and k_star is given.
+    """
+    if (s_star is None) != (k_star is None):
+        raise InputError("the regularity condition needs both s_star and k_star, or neither")
     M = _checked_symmetric(M)
     rho_minus, rho_plus = sparse_eigenvalues(M, k)
     condition = None
-    if s_star is not None and k_star is not None:
+    if s_star is not None:
         condition = _assumption1(M, s_star, k_star, {k: (rho_minus, rho_plus)})
     return SparseEigenReport(
         k=k,

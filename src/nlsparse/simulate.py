@@ -541,6 +541,19 @@ class TrialInference:
 
 @dataclass(frozen=True)
 class InferenceRow:
+    """One mu of the calibration table.
+
+    ``score_type1`` and ``wald_type1`` are rejection rates at the null
+    coordinate s_star + 1, ``score_power`` and ``wald_power`` at
+    POWER_COORDINATE, each over the trials where that test ran; ``excluded``
+    counts the trials where any test failed. Each rate's ``_rejects`` and
+    ``_tests`` columns are its numerator and denominator. At POWER_COORDINATE,
+    ``wald_covers`` counts the Wald intervals that contain mu (the true
+    coefficient there), ``wald_coverage`` is their share of
+    ``wald_power_tests``, and ``wald_mean_length`` is the intervals' mean
+    length. A rate or mean over no tests is nan.
+    """
+
     mu: float
     score_type1: float
     score_power: float
@@ -548,6 +561,17 @@ class InferenceRow:
     wald_power: float
     trials: int
     excluded: int
+    score_type1_rejects: int
+    score_type1_tests: int
+    score_power_rejects: int
+    score_power_tests: int
+    wald_type1_rejects: int
+    wald_type1_tests: int
+    wald_power_rejects: int
+    wald_power_tests: int
+    wald_covers: int
+    wald_coverage: float
+    wald_mean_length: float
 
 
 def _inference_trial(job):
@@ -610,36 +634,30 @@ def run_inference_trials(config: SimConfig, coordinates: Sequence[int],
     :class:`InferenceConfig`'s level 0.05.
 
     Returns ``[(trial_index, [TrialInference, ...]), ...]`` ordered by trial.
-    :func:`run_inference_table` runs these trials for every mu at once; use
-    this directly when per-trial detail (e.g. CI coverage) is needed.
+    :func:`run_inference_table` runs these trials for every mu at once and
+    counts their outcomes; use this directly when per-trial detail (e.g. each
+    trial's interval) is needed.
     """
     jobs = _inference_jobs(config, coordinates, lambda_scale, rho_scale)
     return _map_trials(_inference_trial, jobs, threads)
 
 
-def _rejection_rate(outcomes, coordinate, which):
-    flags = [
-        getattr(o, which)
-        for _, per_trial in outcomes
-        for o in per_trial
-        if o.coordinate == coordinate and getattr(o, which) is not None
-    ]
-    return float(np.mean(flags)) if flags else np.nan
-
-
 def run_inference_table(config: SimConfig, mu_grid: Optional[Sequence[float]] = None,
                         lambda_scale: float = LAMBDA_SCALE, rho_scale: float = RHO_SCALE,
                         threads: Optional[int] = None):
-    """Type-I error and power of both tests at level 0.05 across signal strengths mu.
+    """Type-I error and power of both tests at level 0.05, and the Wald
+    intervals' coverage and length, across signal strengths mu.
 
     For each mu the nonzero coefficients are set to the constant mu,
     coordinate s_star + 1 (outside the support) measures the type-I error,
-    and POWER_COORDINATE (1, inside the support) measures power as the
-    rejection frequency under the false null. Trials where either test
-    failed are reported in ``excluded``; rates are computed over the trials
-    where the specific test succeeded. ``mu_grid`` None means 0, 0.05, ...,
-    0.5. Raises :class:`InputError` before any trial runs when the grid is
-    empty or s_star == d (no null coordinate).
+    and POWER_COORDINATE (1, inside the support) measures power (the
+    rejection frequency under the false null) and the Wald intervals'
+    coverage of mu and length. Trials where any test failed are reported in
+    ``excluded``; each rate is computed over the trials where its test ran,
+    and each row carries the counts behind its rates (:class:`InferenceRow`).
+    ``mu_grid`` None means 0, 0.05, ..., 0.5. Raises :class:`InputError`
+    before any trial runs when the grid is empty or s_star == d (no null
+    coordinate).
     """
     if mu_grid is None:
         mu_grid = [round(0.05 * k, 2) for k in range(11)]
@@ -654,19 +672,29 @@ def run_inference_table(config: SimConfig, mu_grid: Optional[Sequence[float]] = 
         jobs += _inference_jobs(cfg, (null, POWER_COORDINATE), lambda_scale, rho_scale)
     results = iter(_map_trials(_inference_trial, jobs, threads))
     rows = []
-    for mu in mu_grid:
-        outcomes = list(islice(results, config.trials))
-        excluded = sum(
-            1 for _, per_trial in outcomes if any(o.failure is not None for o in per_trial)
-        )
+    for mu in map(float, mu_grid):
+        per_trial = [per for _, per in islice(results, config.trials)]
+        outcomes = [o for per in per_trial for o in per]
+        columns = {}
+        for test in ("score", "wald"):
+            for name, coordinate in (("type1", null), ("power", POWER_COORDINATE)):
+                flags = [flag for o in outcomes if o.coordinate == coordinate
+                         and (flag := getattr(o, f"{test}_reject")) is not None]
+                rejects, tests, rate = int(sum(flags)), len(flags), f"{test}_{name}"
+                columns[rate] = rejects / tests if tests else np.nan
+                columns[f"{rate}_rejects"], columns[f"{rate}_tests"] = rejects, tests
+        intervals = [o for o in outcomes
+                     if o.coordinate == POWER_COORDINATE and o.wald_reject is not None]
+        covers = int(sum(o.ci_low <= mu <= o.ci_high for o in intervals))
+        lengths = [o.ci_high - o.ci_low for o in intervals]
         rows.append(InferenceRow(
-            mu=float(mu),
-            score_type1=_rejection_rate(outcomes, null, "score_reject"),
-            score_power=_rejection_rate(outcomes, POWER_COORDINATE, "score_reject"),
-            wald_type1=_rejection_rate(outcomes, null, "wald_reject"),
-            wald_power=_rejection_rate(outcomes, POWER_COORDINATE, "wald_reject"),
+            mu=mu,
             trials=config.trials,
-            excluded=excluded,
+            excluded=sum(any(o.failure is not None for o in per) for per in per_trial),
+            wald_covers=covers,
+            wald_coverage=covers / len(intervals) if intervals else np.nan,
+            wald_mean_length=float(np.mean(lengths)) if lengths else np.nan,
+            **columns,
         ))
     return rows
 

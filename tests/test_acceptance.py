@@ -1,13 +1,14 @@
 """Acceptance suite: every release criterion, one test each, one line each.
 
 Each test prints ``[criterion NN] PASS/FAIL <name> <detail>`` regardless of
-pytest capture settings, then asserts. The Monte Carlo criteria (08-10, 13
-and 14) run once per dimension and read only that dimension's module-scoped
-batch of ``run_inference_trials`` runs: d = 128 (500 trials per mu) in
-tier-1, and d = 512 (200 trials per mu), marked ``slow``, which
-``pytest -m slow`` runs. Each rate is printed with its trial count and its
-Wilson 95% interval. Criteria 13 and 14 test inference off the global null,
-at the default rho rule (scale 0.25) and the model-based Wald variance r/D0.
+pytest capture settings, then asserts. The Monte Carlo criteria (08-10 and
+13-15) run once per dimension and read only the rows of that dimension's
+module-scoped calibration table, one ``run_inference_table`` call at mu 0,
+0.25 and 0.5: d = 128 (500 trials per mu) in tier-1, and d = 512 (200
+trials per mu), marked ``slow``, which ``pytest -m slow`` runs. Each rate is
+printed with the row's counts behind it and their Wilson 95% interval.
+Criteria 13-15 test inference off the global null, at the default rho rule
+(scale 0.25) and the model-based Wald variance r/D0.
 """
 
 import math
@@ -34,10 +35,9 @@ from nlsparse.cli import main as cli_main
 from nlsparse.diagnostics import _fd_gradient, _fd_hessian, _rel_dev
 from nlsparse.simulate import (
     SimConfig,
-    UniformBeta,
     run_baseline_comparison,
     run_estimation_sweep,
-    run_inference_trials,
+    run_inference_table,
 )
 from tests.test_dantzig import enumerate_lp_optimum, random_problem
 
@@ -205,22 +205,18 @@ def test_criterion_07_dantzig_exactness(capsys):
     pytest.param((128, 500), id="128"),
     pytest.param((512, 200), id="512", marks=pytest.mark.slow),
 ])
-def inference_runs(request):
-    """The one batch that criteria 08, 09, 10, 13 and 14 read at dimension d:
-    coordinates 11 (null) and 1 (support) at mu 0 and 0.5, coordinate 1 at
-    mu 0.25."""
+def inference_table(request):
+    """The one table that criteria 08, 09, 10, 13, 14 and 15 read at
+    dimension d: its rows at mu 0, 0.25 and 0.5, keyed by mu, which test
+    coordinates 11 (null) and 1 (support)."""
     d, trials = request.param  # trials per mu
-    base = dict(n=200, d=d, s_star=10, noise_sd=1.0, toeplitz_rho=0.95,
-                link_name="paper", seed=20240817, trials=trials)
     started = time.perf_counter()
-    runs = {
-        mu: run_inference_trials(SimConfig(beta_mode=UniformBeta(mu, mu), **base),
-                                 coordinates=coordinates, threads=THREADS)
-        for mu, coordinates in ((0.0, (11, 1)), (0.25, (1,)), (0.5, (11, 1)))
-    }
-    runs["d"] = d
-    runs["elapsed"] = time.perf_counter() - started
-    return runs
+    rows = run_inference_table(SimConfig(n=200, d=d, s_star=10, seed=20240817, trials=trials),
+                               mu_grid=(0.0, 0.25, 0.5), threads=THREADS)
+    table = {row.mu: row for row in rows}
+    table["d"] = d
+    table["elapsed"] = time.perf_counter() - started
+    return table
 
 
 def wilson(successes, trials):
@@ -238,58 +234,43 @@ def test_wilson_interval():
     assert tuple(round(v, 4) for v in wilson(6, 200)) == (0.0138, 0.0639)
 
 
-def rate(flags):
-    return float(np.mean(flags))
-
-
-def shown(flags):
+def shown(successes, trials):
     """A rate as a criterion prints it: with its count and its Wilson interval."""
-    low, high = wilson(sum(flags), len(flags))
-    return f"{rate(flags):.3f} ({sum(flags)}/{len(flags)}, [{low:.4f}, {high:.4f}])"
+    low, high = wilson(successes, trials)
+    return f"{successes / trials:.3f} ({successes}/{trials}, [{low:.4f}, {high:.4f}])"
 
 
-def rejections(outcomes, coordinate, which):
-    return [getattr(o, which) for _, per in outcomes for o in per
-            if o.coordinate == coordinate and getattr(o, which) is not None]
-
-
-def coverage_flags(outcomes, truth):
-    """Whether coordinate 1's Wald interval covers the truth, per trial."""
-    return [o.ci_low <= truth <= o.ci_high for _, per in outcomes for o in per
-            if o.coordinate == 1 and o.wald_reject is not None]
-
-
-def test_criterion_08_type1_calibration(capsys, inference_runs):
-    score = rejections(inference_runs[0.0], 11, "score_reject")
-    wald = rejections(inference_runs[0.0], 11, "wald_reject")
-    excluded = sum(1 for _, per in inference_runs[0.0] for o in per if o.failure is not None)
-    ok = 0.03 <= rate(score) <= 0.08 and 0.03 <= rate(wald) <= 0.08
+def test_criterion_08_type1_calibration(capsys, inference_table):
+    row = inference_table[0.0]
+    ok = 0.03 <= row.score_type1 <= 0.08 and 0.03 <= row.wald_type1 <= 0.08
+    score = shown(row.score_type1_rejects, row.score_type1_tests)
+    wald = shown(row.wald_type1_rejects, row.wald_type1_tests)
     report(capsys, 8, "type-I calibration", ok,
-           f"d={inference_runs['d']} score={shown(score)} wald={shown(wald)} band=[0.03,0.08] "
-           f"excluded={excluded} time={inference_runs['elapsed']:.0f}s")
+           f"d={inference_table['d']} score={score} wald={wald} band=[0.03,0.08] "
+           f"excluded={row.excluded} time={inference_table['elapsed']:.0f}s")
 
 
-def test_criterion_09_power_trend(capsys, inference_runs):
-    mus = (0.0, 0.25, 0.5)
-    score_flags = [rejections(inference_runs[mu], 1, "score_reject") for mu in mus]
-    wald_flags = [rejections(inference_runs[mu], 1, "wald_reject") for mu in mus]
-    score_power = [rate(flags) for flags in score_flags]
-    wald_power = [rate(flags) for flags in wald_flags]
+def test_criterion_09_power_trend(capsys, inference_table):
+    rows = [inference_table[mu] for mu in (0.0, 0.25, 0.5)]
+    score_power = [row.score_power for row in rows]
+    wald_power = [row.wald_power for row in rows]
     nondecreasing = all(
         b >= a - 0.05 for seq in (score_power, wald_power) for a, b in zip(seq, seq[1:])
     )
     strong = score_power[-1] >= 0.9 and wald_power[-1] >= 0.9
+    last = rows[-1]
     report(capsys, 9, "power trend", nondecreasing and strong,
-           f"d={inference_runs['d']} score={['%.3f' % p for p in score_power]} "
+           f"d={inference_table['d']} score={['%.3f' % p for p in score_power]} "
            f"wald={['%.3f' % p for p in wald_power]} at mu=0.5: "
-           f"score={shown(score_flags[-1])} wald={shown(wald_flags[-1])}")
+           f"score={shown(last.score_power_rejects, last.score_power_tests)} "
+           f"wald={shown(last.wald_power_rejects, last.wald_power_tests)}")
 
 
-def test_criterion_10_ci_coverage(capsys, inference_runs):
-    covered = coverage_flags(inference_runs[0.0], 0.0)
-    ok = 0.92 <= rate(covered) <= 0.98
-    report(capsys, 10, "CI coverage", ok,
-           f"d={inference_runs['d']} coverage={shown(covered)} band=[0.92,0.98]")
+def test_criterion_10_ci_coverage(capsys, inference_table):
+    row = inference_table[0.0]
+    report(capsys, 10, "CI coverage", 0.92 <= row.wald_coverage <= 0.98,
+           f"d={inference_table['d']} coverage={shown(row.wald_covers, row.wald_power_tests)} "
+           f"band=[0.92,0.98]")
 
 
 def test_criterion_11_diagnostics(capsys):
@@ -331,14 +312,24 @@ def test_criterion_12_reproducibility(capsys, tmp_path):
            f"bytes={len(outputs[0])} identical_across_runs_and_threads={identical}")
 
 
-def test_criterion_13_type1_off_the_global_null(capsys, inference_runs):
-    score = rejections(inference_runs[0.5], 11, "score_reject")
-    report(capsys, 13, "type-I off the global null", rate(score) <= 0.08,
-           f"d={inference_runs['d']} mu=0.5 score={shown(score)} bound=0.08")
+def test_criterion_13_type1_off_the_global_null(capsys, inference_table):
+    row = inference_table[0.5]
+    report(capsys, 13, "type-I off the global null", row.score_type1 <= 0.08,
+           f"d={inference_table['d']} mu=0.5 "
+           f"score={shown(row.score_type1_rejects, row.score_type1_tests)} bound=0.08")
 
 
-def test_criterion_14_coverage_off_the_global_null(capsys, inference_runs):
-    covered = coverage_flags(inference_runs[0.5], 0.5)
-    ok = 0.92 <= rate(covered) <= 0.98
-    report(capsys, 14, "CI coverage off the global null", ok,
-           f"d={inference_runs['d']} mu=0.5 coverage={shown(covered)} band=[0.92,0.98]")
+def test_criterion_14_coverage_off_the_global_null(capsys, inference_table):
+    row = inference_table[0.5]
+    report(capsys, 14, "CI coverage off the global null", 0.92 <= row.wald_coverage <= 0.98,
+           f"d={inference_table['d']} mu=0.5 "
+           f"coverage={shown(row.wald_covers, row.wald_power_tests)} band=[0.92,0.98]")
+
+
+def test_criterion_15_inference_at_a_weak_signal(capsys, inference_table):
+    row = inference_table[0.25]
+    ok = row.score_type1 <= 0.08 and 0.92 <= row.wald_coverage <= 0.98
+    report(capsys, 15, "inference at a weak signal", ok,
+           f"d={inference_table['d']} mu=0.25 "
+           f"score={shown(row.score_type1_rejects, row.score_type1_tests)} bound=0.08 "
+           f"coverage={shown(row.wald_covers, row.wald_power_tests)} band=[0.92,0.98]")

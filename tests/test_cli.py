@@ -391,7 +391,13 @@ class TestSimulateCommand:
                      "--mu-grid", "0,0.5", "--output", str(out), "--threads", "2"])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "mu,score_type1,score_power,wald_type1,wald_power,trials,excluded"
+        header = lines[0].split(",")
+        assert header == [
+            "mu", "score_type1", "score_power", "wald_type1", "wald_power", "trials", "excluded",
+            "score_type1_rejects", "score_type1_tests", "score_power_rejects",
+            "score_power_tests", "wald_type1_rejects", "wald_type1_tests", "wald_power_rejects",
+            "wald_power_tests", "wald_covers", "wald_coverage", "wald_mean_length"]
+        assert "failures" not in header
         assert len(lines) == 3
 
     def test_table_empty_mu_grid_exits_1(self, capsys, tmp_path):
@@ -679,11 +685,33 @@ class TestCheckCommand:
         assert code == 0
         assert "rho_minus=1.0" in out
 
+    @pytest.mark.parametrize("key, value", [("d", 9), ("toeplitz_rho", 0.1)])
+    def test_matrix_excludes_d_and_toeplitz_rho(self, capsys, tmp_path, monkeypatch, key, value):
+        import nlsparse.diagnostics as diagnostics
+
+        def no_report(*args, **kwargs):
+            raise AssertionError("the report ran with --matrix and --d or --toeplitz-rho")
+
+        monkeypatch.setattr(diagnostics, "sparse_eigen_report", no_report)
+        path = tmp_path / "m.csv"
+        np.savetxt(path, np.eye(4), delimiter=",")
+        cfg = tmp_path / "check.json"
+        cfg.write_text(json.dumps({key: value}))
+        flag = f"--{key.replace('_', '-')}"
+        for extra in ([flag, str(value)], ["--config", str(cfg)]):
+            code, out, err = run_cli(capsys, "check", "--kind", "sparse-eigen",
+                                     "--matrix", str(path), "--k", "2", *extra)
+            assert (code, out) == (1, "")
+            assert err == f"nlsparse: error: --matrix and {flag} are mutually exclusive\n"
+
     @pytest.mark.parametrize("argv", [
         ["--kind", "gradients", "--seed", "-1"],
         ["--kind", "sparse-eigen", "--d", "0"],
         # not a covariance matrix
         ["--kind", "sparse-eigen", "--d", "4", "--toeplitz-rho", "1.5"],
+        # the condition needs both sizes
+        ["--kind", "sparse-eigen", "--d", "4", "--toeplitz-rho", "0.5", "--s-star", "1"],
+        ["--kind", "sparse-eigen", "--d", "4", "--toeplitz-rho", "0.5", "--k-star", "2"],
     ])
     def test_bad_input_exits_1_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, "check", *argv)

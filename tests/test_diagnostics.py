@@ -93,6 +93,11 @@ class TestSparseEigenReport:
         report = sparse_eigen_report(np.eye(10), 2, s_star=2, k_star=4)
         assert report.condition_holds is True
 
+    @pytest.mark.parametrize("sizes", [{"s_star": 2}, {"k_star": 4}])
+    def test_one_of_s_star_and_k_star_rejected(self, sizes):
+        with pytest.raises(InputError, match="both s_star and k_star"):
+            sparse_eigen_report(np.eye(10), 2, **sizes)
+
 
 class TestGradientCheck:
     @pytest.mark.parametrize("name", ["identity", "paper"])

@@ -541,9 +541,14 @@ class TestInferenceTable:
             for k in (1, 2, 1)
         ]
         assert texts[0] == texts[1] == texts[2]
-        assert texts[0].splitlines()[0] == (
-            "mu,score_type1,score_power,wald_type1,wald_power,trials,excluded"
+        header = texts[0].splitlines()[0]
+        assert header == (
+            "mu,score_type1,score_power,wald_type1,wald_power,trials,excluded,"
+            "score_type1_rejects,score_type1_tests,score_power_rejects,score_power_tests,"
+            "wald_type1_rejects,wald_type1_tests,wald_power_rejects,wald_power_tests,"
+            "wald_covers,wald_coverage,wald_mean_length"
         )
+        assert "failures" not in header.split(",")
 
     def test_coordinate_validation(self):
         cfg = SimConfig(n=30, d=8, s_star=2, seed=1, trials=1)
@@ -594,6 +599,38 @@ class TestInferenceTable:
             assert all(np.isnan(o.ci_low) and np.isnan(o.ci_high) for o in per)
             monkeypatch.setattr(sim, "fit", failing_fit)
 
+    def test_table_counts_a_failed_wald_half(self, monkeypatch):
+        import nlsparse.simulate as sim
+
+        cfg = SimConfig(n=60, d=12, s_star=3, noise_sd=1.0, seed=44, trials=3)
+        (row,) = run_inference_table(cfg, mu_grid=[0.0], threads=1)
+        reference = run_inference_trials(replace(cfg, beta_mode=UniformBeta(0.0, 0.0)),
+                                         coordinates=(4, 1), threads=1)
+        score_and_wald, calls = sim._score_and_wald, []
+
+        def wald_fails_in_trial_1(link, data, fit, config):
+            calls.append(config.coordinate)
+            results = score_and_wald(link, data, fit, config)
+            yield next(results)
+            if len(calls) in (3, 4):  # trial 1's tests at coordinates 4 and 1
+                raise NumericalError("wald failed")
+            yield next(results)
+
+        monkeypatch.setattr(sim, "_score_and_wald", wald_fails_in_trial_1)
+        (failed,) = run_inference_table(cfg, mu_grid=[0.0], threads=1)
+        assert calls == [4, 1] * 3
+        assert (row.excluded, failed.excluded) == (0, 1)
+        for rate in ("score_type1", "score_power"):  # the score half ran in every trial
+            assert getattr(failed, f"{rate}_tests") == getattr(row, f"{rate}_tests") == 3
+            assert getattr(failed, f"{rate}_rejects") == getattr(row, f"{rate}_rejects")
+        lost = reference[1][1]  # trial 1's outcomes at coordinates 4 and 1
+        for rate, o in (("wald_type1", lost[0]), ("wald_power", lost[1])):
+            assert (row.wald_type1_tests, getattr(failed, f"{rate}_tests")) == (3, 2)
+            assert getattr(failed, f"{rate}_rejects") == (
+                getattr(row, f"{rate}_rejects") - o.wald_reject)
+        assert failed.wald_covers == row.wald_covers - (lost[1].ci_low <= 0.0 <= lost[1].ci_high)
+        assert failed.wald_coverage == failed.wald_covers / 2
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_table_rows_equal_the_per_mu_trials(self, threads):
         cfg = SimConfig(n=60, d=12, s_star=3, noise_sd=1.0, seed=44, trials=3)
@@ -603,14 +640,24 @@ class TestInferenceTable:
             outcomes = run_inference_trials(replace(cfg, beta_mode=UniformBeta(row.mu, row.mu)),
                                             coordinates=(4, 1), threads=1)
 
-            def rate(coordinate, which):
-                flags = [getattr(o, which) for _, per in outcomes for o in per
-                         if o.coordinate == coordinate and getattr(o, which) is not None]
-                return float(np.mean(flags))
+            def ran(coordinate, which):
+                return [getattr(o, which) for _, per in outcomes for o in per
+                        if o.coordinate == coordinate and getattr(o, which) is not None]
 
-            assert (row.score_type1, row.score_power, row.wald_type1, row.wald_power) == (
-                rate(4, "score_reject"), rate(1, "score_reject"),
-                rate(4, "wald_reject"), rate(1, "wald_reject"))
+            for rate, coordinate, which in (("score_type1", 4, "score_reject"),
+                                            ("score_power", 1, "score_reject"),
+                                            ("wald_type1", 4, "wald_reject"),
+                                            ("wald_power", 1, "wald_reject")):
+                flags = ran(coordinate, which)
+                assert getattr(row, rate) == float(np.mean(flags))
+                assert getattr(row, f"{rate}_rejects") == sum(flags)
+                assert getattr(row, f"{rate}_tests") == len(flags) == 3
+            intervals = [(o.ci_low, o.ci_high) for _, per in outcomes for o in per
+                         if o.coordinate == 1 and o.wald_reject is not None]
+            covered = [low <= row.mu <= high for low, high in intervals]
+            assert row.wald_covers == sum(covered)
+            assert row.wald_coverage == float(np.mean(covered))
+            assert row.wald_mean_length == float(np.mean([high - low for low, high in intervals]))
             assert row.trials == 3
             assert row.excluded == sum(
                 any(o.failure is not None for o in per) for _, per in outcomes)
