@@ -20,7 +20,7 @@ import numpy as np
 
 from . import simulate as sim
 from .errors import InputError, NumericalError
-from .inference import InferenceConfig, score_test, wald_estimate
+from .inference import InferenceConfig, _check_coordinate, score_test, wald_estimate
 from .model import FitConfig, builtin_link, load_dataset_csv
 from .solver import fit
 
@@ -278,12 +278,12 @@ def _rule_value(flag, value, scale, sigma, data):
     return sim.rate_rule(scale, sigma, data.n, data.d)
 
 
-def _fit_from_args(args):
+def _fit_inputs(args):
+    """The dataset, the link and the solver options that --data and the fit options name."""
     data = load_dataset_csv(args.data)
-    link = builtin_link(args.link)
     lam = _rule_value("lambda", args.lam, args.lambda_rule, args.sigma, data)
     config = FitConfig(lam=lam, **_user_options(args, FitConfig, skip=("lam", "init")))
-    return data, link, lam, fit(link, data, config)
+    return data, builtin_link(args.link), config
 
 
 def _fit_pairs(result, *extra):
@@ -293,13 +293,14 @@ def _fit_pairs(result, *extra):
 
 
 def _cmd_fit(args) -> int:
-    data, link, lam, result = _fit_from_args(args)
+    data, link, config = _fit_inputs(args)
+    result = fit(link, data, config)
     doc = _doc([
         ("command", "fit"),
         ("link", link.name),
         ("n", data.n),
         ("d", data.d),
-        ("lambda", lam),
+        ("lambda", config.lam),
         *_fit_pairs(result, ("objective", float(result.objective_trace[-1]))),
     ], beta=result.beta_hat)
     _emit(doc, args.output)
@@ -307,14 +308,16 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    """The test document of ``args.method``; ``ci`` is the method ``wald``."""
-    data, link, lam, result = _fit_from_args(args)
+    """The test document of ``args.method`` (``ci`` is ``wald``); all input is checked first."""
+    data, link, fit_config = _fit_inputs(args)
     inf_cfg = InferenceConfig(
         coordinate=args.coordinate,
         rho=_rule_value("rho", args.rho, args.rho_rule, args.sigma, data),
         **_user_options(args, InferenceConfig, skip=("coordinate", "rho"),
                         keys={"significance": "delta"}),
     )
+    _check_coordinate(inf_cfg, data.d)
+    result = fit(link, data, fit_config)
     if args.method == "score":
         res = score_test(link, data, result, inf_cfg)
         estimate = [("f_s", res.f_s), ("sigma_s", res.sigma_s)]
@@ -328,7 +331,7 @@ def _cmd_test(args) -> int:
         ("coordinate", inf_cfg.coordinate),
         ("null_value", inf_cfg.null_value),
         ("delta", inf_cfg.significance),
-        ("lambda", lam),
+        ("lambda", fit_config.lam),
         *_fit_pairs(result),
         ("rho", inf_cfg.rho),
         ("statistic", res.statistic),
@@ -356,10 +359,6 @@ def _parse_beta_mode(raw):
 
 
 def _cmd_simulate(args) -> int:
-    # an experiment can run for hours: reject an output it cannot write before it starts
-    output = args.output
-    if output not in (None, "-") and not os.path.isdir(os.path.dirname(os.path.abspath(output))):
-        raise InputError(f"cannot write {args.output}: its directory does not exist")
     base = _user_options(args, sim.SimConfig, skip=("n", "d", "s_star"),
                          keys={"link_name": "link", "noise_sd": "sigma"})
     if "beta_mode" in base:
@@ -383,7 +382,7 @@ def _cmd_simulate(args) -> int:
         rows = sim.run_inference_table(configs[0], args.mu_grid, args.lambda_rule, rho_scale,
                                        args.threads)
         text = sim.csv_text(rows, sim.InferenceRow)
-    _emit(text, output)
+    _emit(text, args.output)
     return 0
 
 
@@ -457,6 +456,10 @@ def main(argv=None) -> int:
                 argv[1:1] = _config_flags(config, commands[argv[0]])
         args = parser.parse_args(argv)
         _reject_ignored_options(args)
+        # an experiment can run for hours: reject an output it cannot write before any work
+        output = args.output
+        if output not in (None, "-") and not os.path.isdir(os.path.dirname(os.path.abspath(output))):
+            raise InputError(f"cannot write {output}: its directory does not exist")
         return args.func(args)
     except InputError as exc:
         print(f"nlsparse: error: {exc}", file=sys.stderr)

@@ -17,10 +17,13 @@ point and applies a one-step correction
 
 whose normalized version is asymptotically standard normal, giving tests and
 confidence intervals. Both statistics read the same pieces (F_S, the
-denominator D0 and two variance factors), computed in one pass per
-evaluation point; when beta_hat_j equals the null value the two points
-coincide and the experiments decorrelate once for both. Coordinates are
-1-based throughout, matching the usual statistical convention beta_1 .. beta_d.
+denominator D0 and two variance factors) from an evaluation point, which
+computes u = X beta, the residual and the Hessian weights once and
+decorrelates each coordinate on first use. When beta_hat_j equals the null
+value the null-imposed point is the fitted point, so one LP serves both
+tests; the experiments share one fitted point across the coordinates of a
+trial. Coordinates are 1-based throughout, matching the usual statistical
+convention beta_1 .. beta_d.
 """
 
 from __future__ import annotations
@@ -129,53 +132,6 @@ def two_sided_p_value(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def _decorrelate(link, data, beta, j, rho):
-    """``(F_S, D0, factor_design, factor_resid, dantzig_result)`` at ``beta``.
-
-    One pass computes u = X beta and the residual y - f(u), which feed row j
-    of the Hessian (h_aa, h_ag; a non-vacuous LP reads only the rows of h_gg
-    in its bases), the gradient and the variance factors mean[f'(u)^2 (x'w)^2]
-    and mean[resid^2], where w is 1 at coordinate j and -d_hat elsewhere.
-    """
-    idx = j - 1
-    nuisance = np.delete(np.arange(data.d), idx)
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = data.design @ beta
-        resid = data.response - link.eval(u)
-        weights = _hessian_weights(link, u, resid)
-    row = _hessian_rows(data, weights, [idx])[0]
-    h_aa, h_ag = float(row[idx]), row[nuisance]
-    dres = _solve(
-        h_ag,
-        lambda sel: _hessian_rows(data, weights, nuisance[sel])[:, nuisance],
-        lambda: _hessian_diagonal(data, weights)[nuisance],
-        rho,
-    )
-    if dres.status != "optimal":
-        raise DantzigInfeasibleError(
-            f"coordinate {j}: {dres.message or 'decorrelation LP infeasible'}"
-        )
-    d_hat = dres.d_hat
-    with np.errstate(over="ignore", invalid="ignore"):
-        grad = _gradient_at(link, data, u, resid)
-    f_s = float(grad[idx] - d_hat @ grad[nuisance])
-    d0 = h_aa - float(h_ag @ d_hat)
-    xw = data.design @ np.insert(-d_hat, idx, 1.0)
-    factor_design = float(np.mean((link.deriv(u) * xw) ** 2))
-    factor_resid = float(np.mean(resid ** 2))
-    return f_s, d0, factor_design, factor_resid, dres
-
-
-def _points(data, fit, config):
-    """The fitted point, checked against the data, and the null-imposed point."""
-    if config.coordinate > data.d:
-        raise InputError(f"coordinate {config.coordinate} exceeds dimension {data.d}")
-    beta_hat = _check_beta(data, fit.beta_hat)
-    beta_tilde = beta_hat.copy()
-    beta_tilde[config.coordinate - 1] = config.null_value
-    return beta_hat, beta_tilde
-
-
 def _two_sided(statistic, config):
     """The p-value of ``statistic``, whether the test rejects at the configured
     level, and the critical value z_{1 - significance/2} it compares with."""
@@ -183,41 +139,115 @@ def _two_sided(statistic, config):
     return two_sided_p_value(statistic), bool(abs(statistic) > z_crit), z_crit
 
 
-def _score_result(n, config, pieces):
-    f_s, _, factor_design, factor_resid, dres = pieces
-    var = factor_design * factor_resid
-    if not np.isfinite(var) or var <= 0.0:
-        raise DegenerateVarianceError(
-            f"degenerate score variance ({var}) at coordinate {config.coordinate}"
+def _check_coordinate(config, d):
+    """An input error unless ``config`` tests one of d coordinates."""
+    if config.coordinate > d:
+        raise InputError(f"coordinate {config.coordinate} exceeds dimension {d}")
+
+
+class _Point:
+    """An evaluation point beta: u = X beta, the residual y - f(u) and the
+    Hessian weights, computed once, and each (coordinate, rho)'s
+    decorrelation, computed on first use."""
+
+    def __init__(self, link, data, beta):
+        self.link, self.data, self.beta = link, data, beta
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.u = data.design @ beta
+            self.resid = data.response - link.eval(self.u)
+            self.weights = _hessian_weights(link, self.u, self.resid)
+        self._pieces = {}
+
+    @classmethod
+    def fitted(cls, link, data, fit, configs):
+        """The point at ``fit.beta_hat``, checked against the data and the
+        coordinates of ``configs``."""
+        for config in configs:
+            _check_coordinate(config, data.d)
+        return cls(link, data, _check_beta(data, fit.beta_hat))
+
+    def null_imposed(self, config):
+        """The point with coordinate j set to the null value: this one when
+        beta_j already equals it, else a new point."""
+        idx = config.coordinate - 1
+        if self.beta[idx] == config.null_value:
+            return self
+        beta = self.beta.copy()
+        beta[idx] = config.null_value
+        return type(self)(self.link, self.data, beta)
+
+    def decorrelation(self, j, rho):
+        """``(F_S, D0, factor_design, factor_resid, dantzig_result)`` of
+        coordinate j at radius rho, computed on first use.
+
+        Row j of the Hessian gives h_aa and h_ag; a non-vacuous LP reads only
+        the rows of h_gg in its bases. The variance factors are
+        mean[f'(u)^2 (x'w)^2] and mean[resid^2], where w is 1 at coordinate j
+        and -d_hat elsewhere.
+        """
+        if (j, rho) in self._pieces:
+            return self._pieces[j, rho]
+        data, weights, idx = self.data, self.weights, j - 1
+        nuisance = np.delete(np.arange(data.d), idx)
+        row = _hessian_rows(data, weights, [idx])[0]
+        h_aa, h_ag = float(row[idx]), row[nuisance]
+        dres = _solve(
+            h_ag,
+            lambda sel: _hessian_rows(data, weights, nuisance[sel])[:, nuisance],
+            lambda: _hessian_diagonal(data, weights)[nuisance],
+            rho,
         )
-    sigma_s = math.sqrt(var)
-    statistic = math.sqrt(n) * f_s / sigma_s
-    p_value, reject, _ = _two_sided(statistic, config)
-    return ScoreTestResult(statistic=statistic, f_s=f_s, sigma_s=sigma_s,
-                           p_value=p_value, reject=reject, d_hat=dres)
+        if dres.status != "optimal":
+            raise DantzigInfeasibleError(
+                f"coordinate {j}: {dres.message or 'decorrelation LP infeasible'}"
+            )
+        d_hat = dres.d_hat
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = _gradient_at(self.link, data, self.u, self.resid)
+        f_s = float(grad[idx] - d_hat @ grad[nuisance])
+        d0 = h_aa - float(h_ag @ d_hat)
+        xw = data.design @ np.insert(-d_hat, idx, 1.0)
+        factor_design = float(np.mean((self.link.deriv(self.u) * xw) ** 2))
+        factor_resid = float(np.mean(self.resid ** 2))
+        self._pieces[j, rho] = f_s, d0, factor_design, factor_resid, dres
+        return self._pieces[j, rho]
 
+    def score(self, config) -> ScoreTestResult:
+        """The score test of ``config`` with the score evaluated here."""
+        j = config.coordinate
+        f_s, _, factor_design, factor_resid, dres = self.decorrelation(j, config.rho)
+        var = factor_design * factor_resid
+        if not np.isfinite(var) or var <= 0.0:
+            raise DegenerateVarianceError(f"degenerate score variance ({var}) at coordinate {j}")
+        sigma_s = math.sqrt(var)
+        statistic = math.sqrt(self.data.n) * f_s / sigma_s
+        p_value, reject, _ = _two_sided(statistic, config)
+        return ScoreTestResult(statistic=statistic, f_s=f_s, sigma_s=sigma_s,
+                               p_value=p_value, reject=reject, d_hat=dres)
 
-def _wald_result(n, config, beta_hat, pieces):
-    f_s, d0, _, factor_resid, dres = pieces
-    j = config.coordinate
-    if abs(d0) <= 1e-12:
-        raise SingularDenominatorError(f"one-step denominator {d0:.3e} at coordinate {j}")
-    alpha_bar = float(beta_hat[j - 1]) - f_s / d0
-    var_w = factor_resid / d0
-    if not np.isfinite(var_w) or var_w <= 0.0:
-        raise DegenerateVarianceError(f"degenerate Wald variance ({var_w}) at coordinate {j}")
-    sigma_w = math.sqrt(var_w)
+    def wald(self, config) -> WaldResult:
+        """The one-step estimate and interval of ``config``, with this point as
+        the fitted one."""
+        j, n = config.coordinate, self.data.n
+        f_s, d0, _, factor_resid, dres = self.decorrelation(j, config.rho)
+        if abs(d0) <= 1e-12:
+            raise SingularDenominatorError(f"one-step denominator {d0:.3e} at coordinate {j}")
+        alpha_bar = float(self.beta[j - 1]) - f_s / d0
+        var_w = factor_resid / d0
+        if not np.isfinite(var_w) or var_w <= 0.0:
+            raise DegenerateVarianceError(f"degenerate Wald variance ({var_w}) at coordinate {j}")
+        sigma_w = math.sqrt(var_w)
 
-    statistic = math.sqrt(n) * (alpha_bar - config.null_value) / sigma_w
-    p_value, _, z_crit = _two_sided(statistic, config)
-    half_width = z_crit * sigma_w / math.sqrt(n)
-    ci_low, ci_high = alpha_bar - half_width, alpha_bar + half_width
-    # Rejecting by the interval, not by |statistic| > z_crit, keeps the test
-    # and the interval dual at the endpoints, where the two roundings differ.
-    reject = not ci_low <= config.null_value <= ci_high
-    return WaldResult(alpha_bar=alpha_bar, sigma_w=sigma_w, statistic=statistic,
-                      ci_low=ci_low, ci_high=ci_high, p_value=p_value, reject=reject,
-                      d_hat=dres)
+        statistic = math.sqrt(n) * (alpha_bar - config.null_value) / sigma_w
+        p_value, _, z_crit = _two_sided(statistic, config)
+        half_width = z_crit * sigma_w / math.sqrt(n)
+        ci_low, ci_high = alpha_bar - half_width, alpha_bar + half_width
+        # Rejecting by the interval, not by |statistic| > z_crit, keeps the test
+        # and the interval dual at the endpoints, where the two roundings differ.
+        reject = not ci_low <= config.null_value <= ci_high
+        return WaldResult(alpha_bar=alpha_bar, sigma_w=sigma_w, statistic=statistic,
+                          ci_low=ci_low, ci_high=ci_high, p_value=p_value, reject=reject,
+                          d_hat=dres)
 
 
 def score_test(link: LinkFunction, data: Dataset, fit: FitResult, config: InferenceConfig) -> ScoreTestResult:
@@ -230,9 +260,7 @@ def score_test(link: LinkFunction, data: Dataset, fit: FitResult, config: Infere
     :class:`DegenerateVarianceError` when the product vanishes (all residuals
     zero, or the design direction is degenerate).
     """
-    _, beta_tilde = _points(data, fit, config)
-    pieces = _decorrelate(link, data, beta_tilde, config.coordinate, config.rho)
-    return _score_result(data.n, config, pieces)
+    return _Point.fitted(link, data, fit, [config]).null_imposed(config).score(config)
 
 
 def wald_estimate(link: LinkFunction, data: Dataset, fit: FitResult, config: InferenceConfig) -> WaldResult:
@@ -246,23 +274,4 @@ def wald_estimate(link: LinkFunction, data: Dataset, fit: FitResult, config: Inf
     A D0 within 1e-12 of zero raises :class:`SingularDenominatorError`; a
     negative one, or residuals that are all zero, :class:`DegenerateVarianceError`.
     """
-    beta_hat, _ = _points(data, fit, config)
-    pieces = _decorrelate(link, data, beta_hat, config.coordinate, config.rho)
-    return _wald_result(data.n, config, beta_hat, pieces)
-
-
-def _score_and_wald(link, data, fit, config):
-    """Yield :func:`score_test`'s result, then :func:`wald_estimate`'s.
-
-    When beta_hat_j already equals the null value, the null-imposed point is
-    the fitted point and one decorrelation serves both; otherwise each point
-    gets its own. Results are yielded one at a time so that a caller keeps
-    the score result when the Wald half raises.
-    """
-    beta_hat, beta_tilde = _points(data, fit, config)
-    j, rho = config.coordinate, config.rho
-    pieces = _decorrelate(link, data, beta_tilde, j, rho)
-    yield _score_result(data.n, config, pieces)
-    if beta_hat[j - 1] != config.null_value:
-        pieces = _decorrelate(link, data, beta_hat, j, rho)
-    yield _wald_result(data.n, config, beta_hat, pieces)
+    return _Point.fitted(link, data, fit, [config]).wald(config)

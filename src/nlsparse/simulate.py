@@ -51,7 +51,8 @@ import numpy as np
 from .errors import InputError, NlsparseError
 from .model import Dataset, FitConfig, builtin_link, invert_link
 # score_test and wald_estimate are unused here, but perfbench/spans.py times them (ROADMAP item 5).
-from .inference import InferenceConfig, _score_and_wald, score_test, wald_estimate  # noqa: F401
+from .inference import (  # noqa: F401
+    InferenceConfig, _check_coordinate, _Point, score_test, wald_estimate)
 from .solver import _lasso_path, fit
 
 __all__ = [
@@ -575,40 +576,26 @@ class InferenceRow:
 
 
 def _inference_trial(job):
+    """One trial's outcomes at each of ``tests``, all from one fitted point."""
     config, trial, fit_config, tests = job
     data, _ = generate(config, trial)
     link = builtin_link(config.link_name)
     try:
-        fit_result = fit(link, data, fit_config)
+        fitted = _Point.fitted(link, data, fit(link, data, fit_config), tests)
     except NlsparseError as exc:
-        failed = str(exc)
-        return trial, [
-            TrialInference(coordinate=cfg.coordinate, score_reject=None, wald_reject=None,
-                           failure=failed)
-            for cfg in tests
-        ]
-
+        return trial, [TrialInference(coordinate=cfg.coordinate, score_reject=None,
+                                      wald_reject=None, failure=str(exc)) for cfg in tests]
     out = []
     for cfg in tests:
-        failure = None
-        score_reject = wald_reject = None
-        ci_low = ci_high = np.nan
+        outcome = TrialInference(coordinate=cfg.coordinate, score_reject=None, wald_reject=None)
         try:
-            results = _score_and_wald(link, data, fit_result, cfg)
-            score_reject = next(results).reject
-            wald = next(results)
-            wald_reject = wald.reject
-            ci_low, ci_high = wald.ci_low, wald.ci_high
+            outcome = replace(outcome, score_reject=fitted.null_imposed(cfg).score(cfg).reject)
+            wald = fitted.wald(cfg)
+            outcome = replace(outcome, wald_reject=wald.reject, ci_low=wald.ci_low,
+                              ci_high=wald.ci_high)
         except NlsparseError as exc:
-            failure = str(exc)
-        out.append(TrialInference(
-            coordinate=cfg.coordinate,
-            score_reject=score_reject,
-            wald_reject=wald_reject,
-            ci_low=ci_low,
-            ci_high=ci_high,
-            failure=failure,
-        ))
+            outcome = replace(outcome, failure=str(exc))
+        out.append(outcome)
     return trial, out
 
 
@@ -619,12 +606,10 @@ def _inference_jobs(config, coordinates, lambda_scale, rho_scale):
 
     fit_config = FitConfig(lam=config.lambda_rule(lambda_scale))
     rho = config.rho_rule(rho_scale)
-    tests = []
-    for j in map(int, coordinates):
-        if not 1 <= j <= config.d:
-            raise InputError(f"coordinate {j} outside 1..{config.d}")
-        tests.append(InferenceConfig(coordinate=j, rho=rho))
-    return [(config, t, fit_config, tuple(tests)) for t in range(config.trials)]
+    tests = tuple(InferenceConfig(coordinate=j, rho=rho) for j in map(int, coordinates))
+    for test in tests:
+        _check_coordinate(test, config.d)
+    return [(config, t, fit_config, tests) for t in range(config.trials)]
 
 
 def run_inference_trials(config: SimConfig, coordinates: Sequence[int],

@@ -230,6 +230,27 @@ class TestTestCommand:
         assert "sigma" in err
 
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--coordinate", "99", "--rho", "0.1"], "coordinate 99 exceeds dimension 6"),
+        (["--coordinate", "1"], "specify --rho, or --rho-rule together with --sigma"),
+        (["--coordinate", "1", "--rho", "0.1", "--delta", "1.5"],
+         "significance must lie in (0, 1), got 1.5"),
+        (["--coordinate", "1", "--rho", "0.1", "--null-value", "inf"],
+         "null_value must be finite"),
+    ], ids=["coordinate", "rho_rule_without_sigma", "delta", "null_value"])
+    @pytest.mark.parametrize("command", [["test", "--method", "score"], ["ci"]],
+                             ids=["test", "ci"])
+    def test_bad_inference_input_exits_1_before_the_fit(self, capsys, monkeypatch, dataset_csv,
+                                                        command, extra, message):
+        def no_fit(*args):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(cli, "fit", no_fit)
+        code, out, err = run_cli(capsys, *command, "--data", str(dataset_csv),
+                                 "--lambda", "0.1", *extra)
+        assert (code, out, err) == (1, "", f"nlsparse: error: {message}\n")
+
+
 class TestCiCommand:
     def test_interval_contains_estimate(self, capsys, dataset_csv):
         code, out, _ = run_cli(capsys, "ci", "--data", str(dataset_csv),
@@ -368,6 +389,32 @@ def test_option_the_mode_ignores_exits_1_before_any_work(capsys, monkeypatch, tm
         code, out, err = run_cli(capsys, *argv, *extra)
         assert (code, out) == (1, "")
         assert err == f"nlsparse: error: {flag} applies to {readers} only\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--lambda", "0.1"],
+    ["test", "--lambda", "0.1", "--coordinate", "1", "--rho", "0.1", "--method", "score"],
+    ["ci", "--lambda", "0.1", "--coordinate", "1", "--rho", "0.1"],
+    _SIM + ["--experiment", "sweep"],
+    ["check", "--kind", "gradients"],
+    ["check", "--kind", "sparse-eigen", "--d", "8"],
+], ids=["fit", "test", "ci", "simulate", "check_gradients", "check_sparse_eigen"])
+def test_missing_output_directory_exits_1_before_any_work(capsys, monkeypatch, tmp_path,
+                                                          dataset_csv, argv):
+    import nlsparse.diagnostics as diagnostics
+    import nlsparse.simulate as sim
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    for module, name in ((cli, "fit"), (sim, "_map_trials"), (diagnostics, "check_gradients"),
+                         (diagnostics, "sparse_eigen_report")):
+        monkeypatch.setattr(module, name, no_work)
+    output = tmp_path / "missing" / "out.txt"
+    data = ["--data", str(dataset_csv)] if argv[0] in ("fit", "test", "ci") else []
+    code, out, err = run_cli(capsys, *argv, *data, "--output", str(output))
+    assert (code, out) == (1, "")
+    assert err == f"nlsparse: error: cannot write {output}: its directory does not exist\n"
 
 
 class TestSimulateCommand:

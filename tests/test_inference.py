@@ -139,7 +139,7 @@ class TestDecorrelatedScore:
         data = Dataset(design=X, response=np.asarray(paper.eval(X @ beta)))
         # every residual is zero, so score_test stops at its degenerate
         # variance (see TestScoreVariance); F_S comes from the pieces it reads
-        f_s = inference._decorrelate(paper, data, beta, 3, rho=0.5)[0]
+        f_s = inference._Point(paper, data, beta).decorrelation(3, rho=0.5)[0]
         assert abs(f_s) <= 1e-12
 
     @pytest.mark.parametrize("j", [1, 3, 6])
@@ -238,8 +238,9 @@ class TestScoreTest:
             score_test(paper, data, result, InferenceConfig(coordinate=13, rho=1.0))
 
     @pytest.mark.parametrize("call", [
-        score_test, wald_estimate, lambda *args: list(inference._score_and_wald(*args)),
-    ], ids=["score_test", "wald_estimate", "_score_and_wald"])
+        score_test, wald_estimate,
+        lambda link, data, fit, config: inference._Point.fitted(link, data, fit, [config]),
+    ], ids=["score_test", "wald_estimate", "fitted_point"])
     def test_fit_of_another_width_is_an_input_error(self, identity, call):
         rng = np.random.default_rng(24)
         narrow = random_instance(rng, 40, 20, identity)
@@ -345,9 +346,10 @@ def fitted_table_instance(d, link_name):
     return link, data, fit(link, data, FitConfig(lam=cfg.lambda_rule()))
 
 
-def explicit_decorrelate(link, data, beta, j, rho):
-    """The decorrelated pieces from the full Hessian: loss_hessian ->
+def explicit_decorrelate(point, j, rho):
+    """The decorrelated pieces at ``point`` from the full Hessian: loss_hessian ->
     hessian_partition -> solve_dantzig -> loss_gradient."""
+    link, data, beta = point.link, point.data, point.beta
     h_aa, h_ag, h_gg = hessian_partition(loss_hessian(link, data, beta), j)
     dres = solve_dantzig(h_ag, h_gg, rho)
     grad = loss_gradient(link, data, beta)
@@ -371,7 +373,7 @@ class TestMatrixFree:
             cfg = InferenceConfig(coordinate=j, rho=rate_rule(rho_scale, 1.0, 200, d))
             score, wald = score_test(link, data, result, cfg), wald_estimate(link, data, result, cfg)
             with monkeypatch.context() as patched:
-                patched.setattr(inference, "_decorrelate", explicit_decorrelate)
+                patched.setattr(inference._Point, "decorrelation", explicit_decorrelate)
                 score0 = score_test(link, data, result, cfg)
                 wald0 = wald_estimate(link, data, result, cfg)
             for new, old, fields in (
@@ -470,6 +472,9 @@ class TestScoreAndWald:
         cfg = InferenceConfig(coordinate=11, rho=rate_rule(2.0, 1.0, 200, 64),
                               null_value=null_value)
         separate = score_test(link, data, result, cfg), wald_estimate(link, data, result, cfg)
+        beta_tilde = result.beta_hat.copy()
+        beta_tilde[10] = null_value  # the null-imposed point, built apart from the fitted one
+        imposed = inference._Point(link, data, beta_tilde).score(cfg)
         solves = []
 
         def counted(*args):
@@ -478,8 +483,10 @@ class TestScoreAndWald:
 
         original = inference._solve
         monkeypatch.setattr(inference, "_solve", counted)
-        score, wald = inference._score_and_wald(link, data, result, cfg)
+        fitted = inference._Point.fitted(link, data, result, [cfg])
+        score, wald = fitted.null_imposed(cfg).score(cfg), fitted.wald(cfg)
         assert len(solves) == (1 if shared else 2)
         assert not score.d_hat.vacuous and not wald.d_hat.vacuous
         assert_bitwise_equal(score, separate[0])
+        assert_bitwise_equal(score, imposed)
         assert_bitwise_equal(wald, separate[1])

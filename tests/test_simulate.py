@@ -581,16 +581,17 @@ class TestInferenceTable:
 
     def test_failed_tests_are_recorded(self, monkeypatch):
         import nlsparse.simulate as sim
+        from nlsparse.inference import _Point
 
-        def score_then_fail(link, data, fit, config):
-            yield SimpleNamespace(reject=True)
+        def wald_fails(point, config):
             raise NumericalError("wald failed")
 
         def failing_fit(*args):
             raise NumericalError("fit failed")
 
         cfg = SimConfig(n=60, d=12, s_star=3, seed=44, trials=1)
-        monkeypatch.setattr(sim, "_score_and_wald", score_then_fail)
+        monkeypatch.setattr(_Point, "score", lambda point, config: SimpleNamespace(reject=True))
+        monkeypatch.setattr(_Point, "wald", wald_fails)
         expected = {True: "wald failed", None: "fit failed"}
         for score_reject in (True, None):  # the Wald half fails; then the fit fails
             (_, per), = run_inference_trials(cfg, coordinates=(4, 1), threads=1)
@@ -599,24 +600,47 @@ class TestInferenceTable:
             assert all(np.isnan(o.ci_low) and np.isnan(o.ci_high) for o in per)
             monkeypatch.setattr(sim, "fit", failing_fit)
 
+    def test_a_trial_builds_one_fitted_point_and_one_per_moved_null(self, monkeypatch):
+        from nlsparse.inference import _Point
+
+        cfg = SimConfig(n=60, d=12, s_star=3, seed=44, trials=1, beta_mode=UniformBeta(0.5, 0.5))
+        data, _ = generate(cfg, 0)
+        beta_hat = fit(builtin_link("paper"), data, FitConfig(lam=cfg.lambda_rule())).beta_hat
+        init, points = _Point.__init__, []
+
+        def recorded(point, link, data, beta):
+            points.append(np.array(beta))
+            init(point, link, data, beta)
+
+        monkeypatch.setattr(_Point, "__init__", recorded)
+        coordinates = (4, 1, 2, 5)
+        (_, per), = run_inference_trials(cfg, coordinates=coordinates, threads=1)
+        assert all(o.failure is None for o in per)
+        moved = [j for j in coordinates if beta_hat[j - 1] != 0.0]
+        assert 0 < len(moved) < len(coordinates)  # both cases occur in this trial
+        assert len(points) == 1 + len(moved)
+        assert points[0].tobytes() == beta_hat.tobytes()
+        for point, j in zip(points[1:], moved):  # each the fitted point with beta_j = 0
+            imposed = beta_hat.copy()
+            imposed[j - 1] = 0.0
+            assert point.tobytes() == imposed.tobytes()
+
     def test_table_counts_a_failed_wald_half(self, monkeypatch):
-        import nlsparse.simulate as sim
+        from nlsparse.inference import _Point
 
         cfg = SimConfig(n=60, d=12, s_star=3, noise_sd=1.0, seed=44, trials=3)
         (row,) = run_inference_table(cfg, mu_grid=[0.0], threads=1)
         reference = run_inference_trials(replace(cfg, beta_mode=UniformBeta(0.0, 0.0)),
                                          coordinates=(4, 1), threads=1)
-        score_and_wald, calls = sim._score_and_wald, []
+        wald, calls = _Point.wald, []
 
-        def wald_fails_in_trial_1(link, data, fit, config):
+        def wald_fails_in_trial_1(point, config):
             calls.append(config.coordinate)
-            results = score_and_wald(link, data, fit, config)
-            yield next(results)
             if len(calls) in (3, 4):  # trial 1's tests at coordinates 4 and 1
                 raise NumericalError("wald failed")
-            yield next(results)
+            return wald(point, config)
 
-        monkeypatch.setattr(sim, "_score_and_wald", wald_fails_in_trial_1)
+        monkeypatch.setattr(_Point, "wald", wald_fails_in_trial_1)
         (failed,) = run_inference_table(cfg, mu_grid=[0.0], threads=1)
         assert calls == [4, 1] * 3
         assert (row.excluded, failed.excluded) == (0, 1)
