@@ -163,6 +163,8 @@ def check_gradients(link: LinkFunction, n: int, d: int, trials: int,
     Random small instances (designed for n <= 20, d <= 8); passes when the
     worst relative deviations stay within 1e-6 (gradient) and 1e-5 (Hessian).
     """
+    if n < 1 or d < 1:
+        raise InputError(f"n and d must be >= 1, got n={n}, d={d}")
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     worst_grad = 0.0

@@ -140,8 +140,8 @@ class SimConfig:
             raise InputError(f"beta_mode must be a UniformBeta, got {self.beta_mode!r}")
         if not 1 <= self.s_star <= self.d:
             raise InputError(f"s_star must lie in 1..{self.d}, got {self.s_star}")
-        if self.noise_sd < 0.0:
-            raise InputError(f"noise_sd must be nonnegative, got {self.noise_sd}")
+        if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
+            raise InputError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
         if not 0.0 <= self.toeplitz_rho < 1.0:
             raise InputError(f"toeplitz_rho must lie in [0, 1), got {self.toeplitz_rho}")
         if not 0 <= self.seed < 2 ** 64:

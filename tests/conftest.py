@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,16 @@ def hessian_partition(hess, j: int):
     return (float(hess[idx, idx]), np.delete(hess[idx, :], idx),
             np.delete(np.delete(hess, idx, axis=0), idx, axis=1))
 
+
+def child_env(blas_threads=None):
+    """The environment of a fresh interpreter that finds this nlsparse, with no
+    BLAS thread variable set or with OPENBLAS_NUM_THREADS=blas_threads."""
+    import nlsparse
+    from nlsparse.__main__ import _BLAS_THREAD_VARS
+
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    src = os.path.dirname(os.path.dirname(nlsparse.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    return env

@@ -12,6 +12,7 @@ from nlsparse import FitConfig, fit, load_dataset_csv
 from nlsparse import cli
 from nlsparse.cli import main
 from nlsparse.simulate import SimConfig, generate
+from tests.conftest import child_env
 
 
 @pytest.fixture()
@@ -759,6 +760,8 @@ class TestCheckCommand:
         # the condition needs both sizes
         ["--kind", "sparse-eigen", "--d", "4", "--toeplitz-rho", "0.5", "--s-star", "1"],
         ["--kind", "sparse-eigen", "--d", "4", "--toeplitz-rho", "0.5", "--k-star", "2"],
+        ["--kind", "gradients", "--n", "-1"],
+        ["--kind", "gradients", "--d", "-2"],
     ])
     def test_bad_input_exits_1_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, "check", *argv)
@@ -823,23 +826,9 @@ _TINY_TABLE = ["simulate", "--experiment", "table", "--n", "40", "--d", "8", "--
 _PRINT_THREADS = "from nlsparse.simulate import _openblas; print(_openblas()[0]())"
 
 
-def _child_env(blas_threads=None):
-    """The environment of a fresh interpreter that finds this nlsparse, with no
-    BLAS thread variable set or with OPENBLAS_NUM_THREADS=blas_threads."""
-    import nlsparse
-    from nlsparse.__main__ import _BLAS_THREAD_VARS
-
-    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
-    src = os.path.dirname(os.path.dirname(nlsparse.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
-    return env
-
-
 def _child(args, blas_threads=None):
-    """The standard output of ``python args`` in a fresh interpreter (see _child_env)."""
-    proc = subprocess.run([sys.executable, *args], env=_child_env(blas_threads),
+    """The standard output of ``python args`` in a fresh interpreter (see child_env)."""
+    proc = subprocess.run([sys.executable, *args], env=child_env(blas_threads),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -914,7 +903,7 @@ _EIGEN = ["check", "--kind", "sparse-eigen", "--d", "8", "--toeplitz-rho", "0.5"
 
 def _command(launcher, argv, env=None, **kwargs):
     return subprocess.run([sys.executable, *_LAUNCHERS[launcher], *argv],
-                          env=env or _child_env(), timeout=120, **kwargs)
+                          env=env or child_env(), timeout=120, **kwargs)
 
 
 @pytest.mark.parametrize("launcher", sorted(_LAUNCHERS))
@@ -942,7 +931,7 @@ class TestExitPath:
 
     @pytest.mark.parametrize("buffered", [True, False])
     def test_closed_stdout_pipe_exits_nonzero(self, launcher, buffered):
-        env = _child_env()
+        env = child_env()
         env.pop("PYTHONUNBUFFERED", None)
         if not buffered:  # then the write fails inside main, not the flush after it
             env["PYTHONUNBUFFERED"] = "1"
@@ -971,7 +960,7 @@ class TestExitPath:
                 "10", "--trials", "100", "--seed", "7", "--threads", "2",
                 "--output", str(tmp_path / "table.csv")]
         proc = subprocess.Popen([sys.executable, *_LAUNCHERS[launcher], *argv],
-                                env=_child_env(), stderr=subprocess.PIPE, text=True,
+                                env=child_env(), stderr=subprocess.PIPE, text=True,
                                 start_new_session=True)
         try:
             children = f"/proc/{proc.pid}/task/{proc.pid}/children"
@@ -1003,7 +992,7 @@ class TestExitPath:
 
 def test_atexit_callback_registered_before_run_runs():
     code = "import atexit; atexit.register(lambda: print('atexit ran'));" + _LAUNCHERS["script"][1]
-    env = _child_env()
+    env = child_env()
     env.pop("PYTHONUNBUFFERED", None)  # the callback's output is flushed only after it
     proc = subprocess.run([sys.executable, "-c", code, *_EIGEN], env=env, capture_output=True,
                           text=True, timeout=120)

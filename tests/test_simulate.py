@@ -142,8 +142,9 @@ class TestGenerate:
             SimConfig(n=10, d=5, s_star=2, toeplitz_rho=1.0)
         with pytest.raises(InputError):
             SimConfig(n=10, d=5, s_star=2, seed=-1)
-        with pytest.raises(InputError):
-            SimConfig(n=10, d=5, s_star=2, noise_sd=-0.5)
+        for noise_sd in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(InputError, match="noise_sd must be finite and nonnegative"):
+                SimConfig(n=10, d=5, s_star=2, noise_sd=noise_sd)
         with pytest.raises(InputError, match="beta_mode must be a UniformBeta"):
             SimConfig(n=10, d=5, s_star=2, beta_mode=(0.0, 1.0))
         for sizes in ({"n": 100.5}, {"d": 10.0}, {"s_star": 2.5}, {"trials": 2.5},
