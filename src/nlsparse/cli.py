@@ -21,7 +21,7 @@ import numpy as np
 from . import simulate as sim
 from .errors import InputError, NumericalError
 from .inference import InferenceConfig, _check_coordinate, score_test, wald_estimate
-from .model import FitConfig, builtin_link, load_dataset_csv
+from .model import FitConfig, _read_numeric_csv, builtin_link, load_dataset_csv
 from .solver import fit
 
 
@@ -49,6 +49,10 @@ def _add_common(p):
     p.add_argument("--output", help="output path, or - for stdout (default stdout)")
 
 
+# the lambda and rho rules of sim.rate_rule, for the help of their options
+_RULE, _FLOOR = "C*sigma*sqrt(log(d)/n)", "; 1e-4 where that is 0 (sigma = 0 or d = 1)"
+
+
 def _add_fit_options(p):
     p.add_argument("--data", required=True, help="dataset CSV: first column y, then x1..xd")
     p.add_argument("--link", default="paper",
@@ -56,7 +60,7 @@ def _add_fit_options(p):
     p.add_argument("--lambda", dest="lam", type=float,
                    help="regularization strength (overrides --lambda-rule)")
     p.add_argument("--lambda-rule", dest="lambda_rule", type=float,
-                   help="set lambda = C*sigma*sqrt(log(d)/n) with this C (needs --sigma)")
+                   help=f"set lambda = {_RULE} with this C (needs --sigma){_FLOOR}")
     p.add_argument("--sigma", type=float, help="noise level for the lambda/rho rules")
     p.add_argument("--tol", type=float, help="relative-change stopping threshold")
     p.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap")
@@ -72,7 +76,7 @@ def _add_inference_options(p):
     p.add_argument("--rho", type=float,
                    help="decorrelation LP radius (overrides --rho-rule)")
     p.add_argument("--rho-rule", dest="rho_rule", type=float, default=sim.RHO_SCALE,
-                   help="set rho = C*sigma*sqrt(log(d)/n) with this C (default %(default)g)")
+                   help=f"set rho = {_RULE} with this C (default %(default)g){_FLOOR}")
 
 
 # check's defaults, applied by _cmd_check, so that after the parse None means "not set"
@@ -142,9 +146,9 @@ def _build_parser():
                        help="trials per grid point (default %(default)s)")
     p_sim.add_argument("--seed", type=int, help=f"base seed (default {sim.SimConfig.seed})")
     p_sim.add_argument("--lambda-rule", dest="lambda_rule", type=float, default=sim.LAMBDA_SCALE,
-                       help="C in lambda = C*sigma*sqrt(log(d)/n) (default %(default)g)")
+                       help=f"C in lambda = {_RULE} (default %(default)g){_FLOOR}")
     p_sim.add_argument("--rho-rule", dest="rho_rule", type=float,
-                       help=f"table: C in rho = C*sigma*sqrt(log(d)/n) (default {sim.RHO_SCALE:g})")
+                       help=f"table: C in rho = {_RULE} (default {sim.RHO_SCALE:g}){_FLOOR}")
     p_sim.add_argument("--threads", type=int,
                        help="at most this many processes (>= 1), each trial on one BLAS thread "
                             "(default the usable CPU count)")
@@ -386,16 +390,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_matrix_csv(path):
-    try:
-        M = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise InputError(f"cannot read matrix {path}: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(f"matrix {path} is not numeric CSV: {exc}") from exc
-    return M
-
-
 def _cmd_check(args) -> int:
     from .diagnostics import check_gradients, sparse_eigen_report
 
@@ -408,9 +402,9 @@ def _cmd_check(args) -> int:
     if args.kind == "gradients":
         if args.seed < 0:
             raise InputError(f"--seed must be >= 0, got {args.seed}")
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([args.seed])))
         report = check_gradients(builtin_link(args.link), n=args.n,
-                                 d=5 if args.d is None else args.d, trials=args.trials, rng=rng)
+                                 d=5 if args.d is None else args.d, trials=args.trials,
+                                 rng=sim._stream_rng(args.seed))
         verdict = "PASS" if report.passed else "FAIL"
         _emit(
             f"{verdict} max_rel_grad={report.max_rel_gradient:.3e} "
@@ -420,7 +414,7 @@ def _cmd_check(args) -> int:
         return 0 if report.passed else 2
 
     if args.matrix:
-        M = _load_matrix_csv(args.matrix)
+        M = _read_numeric_csv(args.matrix, "matrix")
     elif args.d is None:
         raise InputError("sparse-eigen needs --matrix or --d with --toeplitz-rho")
     else:
@@ -429,18 +423,13 @@ def _cmd_check(args) -> int:
     if k is None:
         k = args.k_star if args.k_star is not None else M.shape[0]
     report = sparse_eigen_report(M, k, s_star=args.s_star, k_star=args.k_star)
-    lines = [
-        f"k={report.k}",
-        f"rho_minus={report.rho_minus!r}",
-        f"rho_plus={report.rho_plus!r}",
-        f"design_bound={report.design_bound!r}",
-    ]
+    pairs = [("k", report.k), ("rho_minus", report.rho_minus), ("rho_plus", report.rho_plus),
+             ("design_bound", report.design_bound)]
     passed = True
     if report.condition_holds is not None:
         passed = report.condition_holds
-        lines.append(f"condition_holds={'true' if passed else 'false'}")
-    lines.append("PASS" if passed else "FAIL")
-    _emit("\n".join(lines) + "\n", args.output)
+        pairs.append(("condition_holds", passed))
+    _emit(_doc(pairs) + ("PASS\n" if passed else "FAIL\n"), args.output)
     return 0 if passed else 2
 
 

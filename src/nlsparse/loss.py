@@ -8,6 +8,11 @@ With residuals r_i = y_i - f(x_i' beta) and index u_i = x_i' beta:
 
 The 1/(2n) normalization is used throughout; rescale lam accordingly if you
 are used to the 1/n convention (the minimizers coincide after lam -> lam/2).
+
+The penalized objective L(beta) + lam ||beta||_1 is computed once, in
+``_objective``, which the solver's line search calls; ``penalized_objective``
+and ``loss_value`` (lam = 0) wrap it with input checks and raise where it is
+not finite.
 """
 
 from __future__ import annotations
@@ -36,13 +41,7 @@ def _check_beta(data: Dataset, beta) -> np.ndarray:
 
 def loss_value(link: LinkFunction, data: Dataset, beta) -> float:
     """Half mean squared residual (1/2n) sum (y_i - f(x_i' beta))^2."""
-    beta = _check_beta(data, beta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = data.response - link.eval(data.design @ beta)
-        value = 0.5 * float(resid @ resid) / data.n
-    if not np.isfinite(value):
-        raise NumericalError("loss_value: non-finite intermediate")
-    return value
+    return penalized_objective(link, data, beta, 0.0)
 
 
 def loss_gradient(link: LinkFunction, data: Dataset, beta) -> np.ndarray:
@@ -50,6 +49,15 @@ def loss_gradient(link: LinkFunction, data: Dataset, beta) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         u = data.design @ beta
         return _gradient_at(link, data, u, data.response - link.eval(u))
+
+
+def _objective(link, data, beta, lam):
+    # L(beta) + lam ||beta||_1, +inf where not finite (a rejected line-search
+    # candidate), with u = X beta and y - f(u) for _gradient_at.
+    u = data.design @ beta
+    resid = data.response - link.eval(u)
+    value = 0.5 * float(resid @ resid) / data.n + lam * float(np.abs(beta).sum())
+    return (value if np.isfinite(value) else np.inf), u, resid
 
 
 def _gradient_at(link, data, u, resid):
@@ -92,8 +100,12 @@ def _hessian_diagonal(data, weights):
 
 
 def penalized_objective(link: LinkFunction, data: Dataset, beta, lam: float) -> float:
-    """L(beta) + lam * ||beta||_1."""
+    """L(beta) + lam * ||beta||_1, the objective that ``solver.fit`` minimizes."""
     if lam < 0.0:
         raise InputError(f"lam must be nonnegative, got {lam}")
     beta = _check_beta(data, beta)
-    return loss_value(link, data, beta) + lam * float(np.abs(beta).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _objective(link, data, beta, lam)[0]
+    if value == np.inf:
+        raise NumericalError("loss_value: non-finite intermediate")
+    return value

@@ -263,49 +263,53 @@ class FitConfig:
 
 
 def load_dataset_csv(path) -> Dataset:
-    """Read a dataset from CSV: first column y, then x1..xd.
+    """Read a dataset from CSV, as :func:`_read_numeric_csv` reads: first column
+    y, then x1..xd, so a row needs at least two fields."""
+    data = _read_numeric_csv(path, "dataset", (2, "a response and at least one covariate"))
+    return Dataset(design=data[:, 1:], response=data[:, 0])
+
+
+def _read_numeric_csv(path, noun, need=(1, "")) -> np.ndarray:
+    """The numeric CSV file at ``path`` as a 2-d array, for ``--data`` and ``check --matrix``.
 
     A header row is detected by a non-numeric first cell and skipped. Blank
-    lines are ignored; rows are numbered from the first data row.
+    lines are ignored; rows are numbered from the first data row. An error
+    calls the file ``noun`` and names the first row that is ragged or not
+    numeric; ``need`` is the least field count of a row and what it holds.
     """
     try:
         with open(path, newline="") as fh:
             lines = [line for line in fh if line.rstrip("\r\n")]
     except OSError as exc:
-        raise InputError(f"cannot read dataset {path}: {exc}") from exc
+        raise InputError(f"cannot read {noun} {path}: {exc}") from exc
     if not lines:
-        raise InputError(f"dataset {path} is empty")
+        raise InputError(f"{noun} {path} is empty")
 
     try:
         float(next(csv.reader(lines[:1]))[0])
     except ValueError:
         lines = lines[1:]
     if not lines:
-        raise InputError(f"dataset {path} has a header but no data rows")
+        raise InputError(f"{noun} {path} has a header but no data rows")
 
     try:
         data = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
-    except ValueError as exc:
-        raise _row_error(path, lines, exc) from exc
-    if data.shape[1] < 2:
-        raise _row_error(path, lines, None)
-    return Dataset(design=data[:, 1:], response=data[:, 0])
-
-
-def _row_error(path, lines, exc) -> InputError:
-    """The InputError naming the first row of ``lines`` that np.loadtxt could
-    not read (``exc``) or that lacks a covariate."""
-    rows = list(csv.reader(lines))
+        if data.shape[1] >= need[0]:
+            return data
+        exc = None
+    except ValueError as err:
+        exc = err
+    rows = list(csv.reader(lines))  # find the row that failed
     width = len(rows[0])
-    if width < 2:
-        return InputError(f"dataset {path}: rows need a response and at least one covariate")
+    if width < need[0]:
+        raise InputError(f"{noun} {path}: rows need {need[1]}") from exc
     for i, row in enumerate(rows):
         if len(row) != width:
-            return InputError(
-                f"dataset {path}: row {i + 1} has {len(row)} fields, expected {width}"
-            )
+            raise InputError(
+                f"{noun} {path}: row {i + 1} has {len(row)} fields, expected {width}"
+            ) from exc
         try:
             list(map(float, row))
         except ValueError as bad:
-            return InputError(f"dataset {path}: row {i + 1} is not numeric: {bad}")
-    return InputError(f"dataset {path} is not numeric CSV: {exc}")
+            raise InputError(f"{noun} {path}: row {i + 1} is not numeric: {bad}") from exc
+    raise InputError(f"{noun} {path} is not numeric CSV: {exc}") from exc

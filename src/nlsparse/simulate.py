@@ -90,13 +90,13 @@ CV_FOLDS = 5
 CV_GRID_SIZE = 30
 POWER_COORDINATE = 1
 
-# Floor for rule-derived regularization when sigma = 0 (noiseless runs).
+# Floor for rule-derived regularization where the rule gives 0 (sigma = 0 or d = 1).
 _NOISELESS_LAMBDA = 1e-4
 
 
 def rate_rule(scale: float, sigma: float, n: int, d: int) -> float:
-    """scale * sigma * sqrt(log d / n), floored at 1e-4 when sigma = 0: the
-    lambda rule at scale LAMBDA_SCALE and the rho rule at scale RHO_SCALE."""
+    """scale * sigma * sqrt(log d / n), the lambda rule at scale LAMBDA_SCALE and the rho
+    rule at RHO_SCALE; 1e-4 where that is 0: at sigma = 0, and at d = 1 for any sigma."""
     if not (scale > 0.0 and sigma >= 0.0):
         raise InputError(f"rule needs scale > 0 and sigma >= 0, got {scale} and {sigma}")
     value = scale * sigma * np.sqrt(np.log(d) / n)
@@ -162,9 +162,9 @@ class SimConfig:
         return rate_rule(scale, self.noise_sd, self.n, self.d)
 
 
-def _stream_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
-    ss = np.random.SeedSequence([int(seed), int(trial), int(stream)])
-    return np.random.Generator(np.random.Philox(ss))
+def _stream_rng(*key: int) -> np.random.Generator:
+    """The Philox generator of (seed, trial, stream), or of (seed,) for ``check``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(map(int, key)))))
 
 
 def toeplitz_covariance(d: int, rho: float) -> np.ndarray:

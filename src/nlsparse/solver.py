@@ -8,7 +8,9 @@ last ``MEMORY + 1`` accepted iterates:
     phi(beta_new) <= max window(phi) - ZETA * alpha/2 * ||beta_new - beta||^2
 
 Accepted objective values, stepsizes and squared step norms are logged so the
-acceptance inequality can be replayed exactly from the returned traces.
+acceptance inequality can be replayed exactly from the returned traces. The
+objective phi is the one of :mod:`nlsparse.loss`, so an accepted value equals
+``penalized_objective`` at that iterate, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, LineSearchError, NumericalError
-from .loss import loss_gradient, _check_beta, _gradient_at
+from .loss import loss_gradient, _check_beta, _gradient_at, _objective
 from .model import Dataset, FitConfig, LinkFunction
 
 __all__ = [
@@ -118,15 +120,6 @@ def acceptance_check(objective_history, phi_new: float, alpha_t: float, step) ->
     window = objective_history[-(MEMORY + 1):]
     bound = float(max(window)) - ZETA * alpha_t / 2.0 * float(step @ step)
     return bool(phi_new <= bound)
-
-
-def _objective(link, data, beta, lam):
-    # Non-raising objective for line-search candidates: +inf on overflow. Also
-    # returns u = X beta and y - f(u), for the gradient of an accepted candidate.
-    u = data.design @ beta
-    resid = data.response - link.eval(u)
-    value = 0.5 * float(resid @ resid) / data.n + lam * float(np.abs(beta).sum())
-    return (value if np.isfinite(value) else np.inf), u, resid
 
 
 # Overflow shows up as an infinite objective (the candidate is rejected) or as a

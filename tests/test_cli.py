@@ -11,7 +11,7 @@ import pytest
 from nlsparse import FitConfig, fit, load_dataset_csv
 from nlsparse import cli
 from nlsparse.cli import main
-from nlsparse.simulate import SimConfig, generate
+from nlsparse.simulate import SimConfig, generate, rate_rule
 from tests.conftest import child_env
 
 
@@ -74,6 +74,15 @@ class TestFitCommand:
         assert code == 0
         noiseless = SimConfig(n=80, d=6, s_star=2, noise_sd=0.0)
         assert float(parse_doc(out)[0]["lambda"]) == noiseless.lambda_rule(3)
+
+    def test_lambda_rule_at_d_1_is_the_floor(self, capsys, tmp_path):
+        # log d = 0 at d = 1, so the rule gives 0 whatever sigma, and the fit runs at 1e-4
+        path = tmp_path / "one.csv"
+        np.savetxt(path, np.random.default_rng(0).standard_normal((30, 2)), delimiter=",")
+        code, out, _ = run_cli(capsys, "fit", "--data", str(path),
+                               "--lambda-rule", "3", "--sigma", "1")
+        assert code == 0
+        assert parse_doc(out)[0]["lambda"] == "0.0001" == repr(rate_rule(3.0, 1.0, 30, 1))
 
     def test_default_fit_matches_library(self, capsys, dataset_csv, paper):
         code, out, _ = run_cli(capsys, "fit", "--data", str(dataset_csv), "--lambda", "0.05")
@@ -732,6 +741,38 @@ class TestCheckCommand:
                                "--matrix", str(path), "--k", "2")
         assert code == 0
         assert "rho_minus=1.0" in out
+
+    def test_matrix_file_is_read_as_a_dataset_is(self, capsys, tmp_path):
+        # a header row and a blank line are skipped, as --data skips them
+        path = tmp_path / "m.csv"
+        path.write_text("c1,c2,c3\n1.0,0.5,0.25\n\n0.5,1.0,0.5\n0.25,0.5,1.0\n")
+        expected = run_cli(capsys, "check", "--kind", "sparse-eigen", "--d", "3",
+                           "--toeplitz-rho", "0.5", "--k", "2")
+        assert expected[0] == 0
+        assert run_cli(capsys, "check", "--kind", "sparse-eigen", "--matrix", str(path),
+                       "--k", "2") == expected
+
+    @pytest.mark.parametrize("text, problem", [
+        ("c1,c2\n1.0,0.0\n0.0,oops\n", "row 2 is not numeric"),
+        ("1.0,0.0\n0.0,1.0,2.0\n", "row 2 has 3 fields, expected 2"),
+        ("1.0,0.0\n# note,0.0\n0.0,1.0\n", "row 2 is not numeric"),
+    ])
+    def test_matrix_file_error_names_the_row(self, capsys, tmp_path, text, problem):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "check", "--kind", "sparse-eigen",
+                                 "--matrix", str(path), "--k", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"nlsparse: error: matrix {path}: {problem}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed, line", [
+        ("0", "PASS max_rel_grad=6.372e-10 max_rel_hess=6.137e-10 trials=50\n"),
+        ("7", "PASS max_rel_grad=6.771e-10 max_rel_hess=5.633e-10 trials=50\n"),
+    ])
+    def test_gradients_document_at_a_seed(self, capsys, seed, line):
+        # the instances are drawn from the Philox stream keyed by (seed,)
+        assert run_cli(capsys, "check", "--kind", "gradients", "--seed", seed) == (0, line, "")
 
     @pytest.mark.parametrize("key, value", [("d", 9), ("toeplitz_rho", 0.1)])
     def test_matrix_excludes_d_and_toeplitz_rho(self, capsys, tmp_path, monkeypatch, key, value):

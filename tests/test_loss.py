@@ -3,13 +3,17 @@ import pytest
 
 from nlsparse import (
     Dataset,
+    FitConfig,
     InputError,
+    NumericalError,
     builtin_link,
+    fit,
     loss_gradient,
     loss_hessian,
     loss_value,
     penalized_objective,
 )
+from nlsparse.simulate import SimConfig, generate
 from tests.conftest import hessian_partition, random_instance
 
 
@@ -186,6 +190,25 @@ class TestPenalizedObjective:
         lam = 0.37
         expected = reversed_sum_loss(paper, data, beta) + lam * sum(abs(v) for v in beta)
         assert penalized_objective(paper, data, beta, lam) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("link_name", ["identity", "paper"])
+    def test_equals_the_fits_objective_bit_for_bit(self, link_name):
+        # fit's line search and the public function share one computation
+        link = builtin_link(link_name)
+        cfg = SimConfig(n=60, d=20, s_star=3, link_name=link_name, seed=12)
+        data, _ = generate(cfg, 0)
+        lam = cfg.lambda_rule()
+        res = fit(link, data, FitConfig(lam=lam))
+        assert penalized_objective(link, data, res.beta_hat, lam) == res.objective_trace[-1]
+        assert loss_value(link, data, res.beta_hat) == penalized_objective(
+            link, data, res.beta_hat, 0.0)
+
+    def test_non_finite_objective_raises(self, paper):
+        data = Dataset(design=np.full((2, 1), 1e300), response=np.zeros(2))
+        for value in (lambda: loss_value(paper, data, np.array([1e10])),
+                      lambda: penalized_objective(paper, data, np.array([1e10]), 0.5)):
+            with pytest.raises(NumericalError, match="loss_value: non-finite intermediate"):
+                value()
 
     def test_negative_lambda_rejected(self, paper):
         data = Dataset(design=np.ones((2, 1)), response=np.zeros(2))
