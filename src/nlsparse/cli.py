@@ -447,8 +447,11 @@ def main(argv=None) -> int:
         _reject_ignored_options(args)
         # an experiment can run for hours: reject an output it cannot write before any work
         output = args.output
-        if output not in (None, "-") and not os.path.isdir(os.path.dirname(os.path.abspath(output))):
-            raise InputError(f"cannot write {output}: its directory does not exist")
+        if output not in (None, "-"):
+            if os.path.isdir(output):
+                raise InputError(f"cannot write {output}: it is a directory")
+            if not os.path.isdir(os.path.dirname(os.path.abspath(output))):
+                raise InputError(f"cannot write {output}: its directory does not exist")
         return args.func(args)
     except InputError as exc:
         print(f"nlsparse: error: {exc}", file=sys.stderr)
@@ -456,7 +459,3 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"nlsparse: numerical failure: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NumericalError
+from .model import _checked_symmetric
 
 __all__ = ["DantzigResult", "solve_dantzig"]
 
@@ -57,20 +58,22 @@ class DantzigResult:
 def solve_dantzig(h_ag, h_gg, rho: float) -> DantzigResult:
     """Minimize ||v||_1 subject to ||h_ag - v' h_gg||_inf <= rho.
 
-    ``h_gg`` must be symmetric (checked to 1e-10) and ``rho`` positive. The
-    LP is solved exactly; feasibility is certified to 1e-8. An infeasible
-    program (possible only for rank-deficient ``h_gg``) is reported through
-    ``status`` rather than an exception.
+    ``h_ag`` and ``h_gg`` must be finite, ``h_gg`` symmetric (checked to
+    1e-10) and ``rho`` positive. The LP is solved exactly; feasibility is
+    certified to 1e-8. An infeasible program (possible only for
+    rank-deficient ``h_gg``) is reported through ``status`` rather than an
+    exception.
     """
     h_ag = np.asarray(h_ag, dtype=float)
     h_gg = np.asarray(h_gg, dtype=float)
     if h_ag.ndim != 1:
         raise InputError("h_ag must be a vector")
+    if not np.isfinite(h_ag).all():
+        raise InputError("h_ag contains non-finite entries")
     m = h_ag.shape[0]
     if h_gg.shape != (m, m):
         raise InputError(f"h_gg must be {m}x{m} to match h_ag, got {h_gg.shape}")
-    if m > 0 and float(np.abs(h_gg - h_gg.T).max()) > 1e-10:
-        raise InputError("h_gg is not symmetric within 1e-10")
+    _checked_symmetric(h_gg, "h_gg")
     if not (np.isfinite(rho) and rho > 0.0):
         raise InputError(f"rho must be a positive real, got {rho}")
     return _solve(h_ag, h_gg.__getitem__, h_gg.diagonal, rho)

@@ -4,12 +4,18 @@ The sparse-eigenvalue quantities rho_-(k) and rho_+(k) are the extreme
 Rayleigh quotients of a Gram matrix over k-sparse unit vectors. They are
 computed exactly by enumerating every size-k support and taking the extreme
 eigenvalues of the principal submatrices; this is exponential in d, so the
-enumeration refuses d > 24 rather than approximate.
+enumeration refuses d > 24 rather than approximate. A matrix must be square,
+finite and symmetric within 1e-10, the check ``solve_dantzig`` makes of
+h_gg; an empty one fails the range checks on k, or on 2k* + s*.
+
+:func:`check_gradients` compares the loss gradient and Hessian with central
+differences of the loss and of the gradient, one routine for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Optional
 
@@ -17,7 +23,7 @@ import numpy as np
 
 from . import loss as _loss
 from .errors import EnumerationCapError, InputError
-from .model import Dataset, LinkFunction
+from .model import Dataset, LinkFunction, _checked_symmetric
 
 __all__ = [
     "SparseEigenReport",
@@ -48,21 +54,12 @@ class GradientCheckReport:
     passed: bool
 
 
-def _checked_symmetric(M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
-        raise InputError(f"expected a nonempty square matrix, got shape {M.shape}")
-    if float(np.abs(M - M.T).max()) > 1e-10:
-        raise InputError("matrix is not symmetric within 1e-10")
-    return M
-
-
 def sparse_eigenvalues(M, k: int):
     """Exact k-sparse extreme eigenvalues (rho_minus, rho_plus) of M.
 
     Enumerates all size-k principal submatrices; refuses d > 24.
     """
-    M = _checked_symmetric(M)
+    M = _checked_symmetric(M, "matrix")
     d = M.shape[0]
     if d > _MAX_ENUM_DIM:
         raise EnumerationCapError(
@@ -88,7 +85,7 @@ def sparse_eigen_report(M, k: int, s_star: Optional[int] = None,
     """
     if (s_star is None) != (k_star is None):
         raise InputError("the regularity condition needs both s_star and k_star, or neither")
-    M = _checked_symmetric(M)
+    M = _checked_symmetric(M, "matrix")
     rho_minus, rho_plus = sparse_eigenvalues(M, k)
     condition = None
     if s_star is not None:
@@ -105,7 +102,7 @@ def sparse_eigen_report(M, k: int, s_star: Optional[int] = None,
 def check_assumption1(M, s_star: int, k_star: int) -> bool:
     """Design-regularity check: rho_+(k*) / rho_-(2k* + s*) <= 1 + 0.5 k*/s*
     and k* >= 2 s*. False when rho_-(2k* + s*) is zero (degenerate design)."""
-    return _assumption1(_checked_symmetric(M), s_star, k_star, {})
+    return _assumption1(_checked_symmetric(M, "matrix"), s_star, k_star, {})
 
 
 def _assumption1(M, s_star, k_star, known):
@@ -126,29 +123,15 @@ def _assumption1(M, s_star, k_star, known):
     return bool(rho_plus / rho_minus <= 1.0 + 0.5 * k_star / s_star)
 
 
-def _fd_gradient(link, data, beta, h=1e-6):
-    d = beta.size
-    grad = np.empty(d)
-    for j in range(d):
-        e = np.zeros(d)
+def _central_difference(func, beta, h=1e-6):
+    """(func(beta + h e_j) - func(beta - h e_j)) / 2h for each coordinate j, as
+    the last axis: the gradient of a scalar ``func``, the Jacobian of a vector one."""
+    columns = []
+    for j in range(beta.size):
+        e = np.zeros(beta.size)
         e[j] = h
-        grad[j] = (
-            _loss.loss_value(link, data, beta + e) - _loss.loss_value(link, data, beta - e)
-        ) / (2.0 * h)
-    return grad
-
-
-def _fd_hessian(link, data, beta, h=1e-6):
-    d = beta.size
-    hess = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        hess[:, j] = (
-            _loss.loss_gradient(link, data, beta + e)
-            - _loss.loss_gradient(link, data, beta - e)
-        ) / (2.0 * h)
-    return hess
+        columns.append((func(beta + e) - func(beta - e)) / (2.0 * h))
+    return np.stack(columns, axis=-1)
 
 
 def _rel_dev(approx, exact) -> float:
@@ -176,10 +159,12 @@ def check_gradients(link: LinkFunction, n: int, d: int, trials: int,
         data = Dataset(design=X, response=y)
         beta = rng.standard_normal(d)
         worst_grad = max(worst_grad, _rel_dev(
-            _fd_gradient(link, data, beta), _loss.loss_gradient(link, data, beta)
+            _central_difference(partial(_loss.loss_value, link, data), beta),
+            _loss.loss_gradient(link, data, beta),
         ))
         worst_hess = max(worst_hess, _rel_dev(
-            _fd_hessian(link, data, beta), _loss.loss_hessian(link, data, beta)
+            _central_difference(partial(_loss.loss_gradient, link, data), beta),
+            _loss.loss_hessian(link, data, beta),
         ))
     return GradientCheckReport(
         trials=trials,

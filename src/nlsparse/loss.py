@@ -30,11 +30,11 @@ __all__ = [
 ]
 
 
-def _check_beta(data: Dataset, beta) -> np.ndarray:
+def _check_beta(data: Dataset, beta, name="beta") -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 1 or beta.shape[0] != data.d:
         raise InputError(
-            f"beta has shape {beta.shape}, expected ({data.d},) to match the design"
+            f"{name} has shape {beta.shape}, expected ({data.d},) to match the design"
         )
     return beta
 

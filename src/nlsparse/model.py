@@ -262,6 +262,19 @@ class FitConfig:
             object.__setattr__(self, "init", _frozen_array(init))
 
 
+def _checked_symmetric(M, name) -> np.ndarray:
+    """``M`` as a float array, checked square, finite and symmetric within 1e-10;
+    errors call it ``name``."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InputError(f"{name} must be a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise InputError(f"{name} contains non-finite entries")
+    if float(np.abs(M - M.T).max(initial=0.0)) > 1e-10:
+        raise InputError(f"{name} is not symmetric within 1e-10")
+    return M
+
+
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset from CSV, as :func:`_read_numeric_csv` reads: first column
     y, then x1..xd, so a row needs at least two fields."""

@@ -385,8 +385,9 @@ def _errors(estimate, beta_star):
 def _cv_lasso(data: Dataset):
     """The lasso estimate at a lambda picked by CV_FOLDS-fold cross-validation.
 
-    The grid is CV_GRID_SIZE log-spaced values spanning [1e-4, 1] *
-    sd(z) * sqrt(log d / n), from the largest down. On each training fold, with
+    The grid is CV_GRID_SIZE log-spaced values spanning [1e-4, 1] times
+    :func:`rate_rule` at C = 1 and sigma = sd(z) (floored at 1e-8), from the
+    largest down; so its top is 1e-4 at d = 1. On each training fold, with
     X'X and X'z less the held-out block's, one walk of the exact lasso path
     (:func:`nlsparse.solver._lasso_path`) gives the KKT-certified solution at
     every grid point; the held-out mean squared error is summed over folds.
@@ -395,7 +396,7 @@ def _cv_lasso(data: Dataset):
     returned estimate, the exact lasso solution there.
     """
     n, d = data.design.shape
-    base = max(float(np.std(data.response, ddof=1)), 1e-8) * np.sqrt(np.log(d) / n)
+    base = rate_rule(1.0, max(float(np.std(data.response, ddof=1)), 1e-8), n, d)
     grid = np.geomspace(base, 1e-4 * base, CV_GRID_SIZE)
     gram, corr = data.design.T @ data.design, data.design.T @ data.response
 

@@ -152,11 +152,7 @@ def fit(link: LinkFunction, data: Dataset, config: FitConfig) -> FitResult:
     if config.init is None:
         beta = np.zeros(data.d)
     else:
-        if config.init.shape[0] != data.d:
-            raise InputError(
-                f"init has length {config.init.shape[0]}, expected {data.d}"
-            )
-        beta = config.init.copy()
+        beta = _check_beta(data, config.init, "init").copy()
     lam = config.lam
 
     phi, u, resid = _objective(link, data, beta, lam)

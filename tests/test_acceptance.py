@@ -22,9 +22,8 @@ from nlsparse import (
     FitConfig,
     builtin_link,
     check_assumption1,
+    check_gradients,
     fit,
-    loss_gradient,
-    loss_hessian,
     normal_quantile,
     soft_threshold,
     solve_dantzig,
@@ -32,7 +31,6 @@ from nlsparse import (
     sparse_eigenvalues,
 )
 from nlsparse.cli import main as cli_main
-from nlsparse.diagnostics import _fd_gradient, _fd_hessian, _rel_dev
 from nlsparse.simulate import (
     SimConfig,
     run_baseline_comparison,
@@ -59,15 +57,10 @@ def test_criterion_01_derivative_correctness(capsys):
         link = builtin_link("paper" if trial % 2 else "identity")
         n = int(rng.integers(3, 21))
         d = int(rng.integers(1, 9))
-        X = rng.standard_normal((n, d))
-        y = np.asarray(link.eval(X @ rng.standard_normal(d))) + 0.5 * rng.standard_normal(n)
-        data = Dataset(design=X, response=y)
-        beta = rng.standard_normal(d)
-        # central differences at h = 1e-6 against the analytic derivatives
-        worst_grad = max(worst_grad, _rel_dev(_fd_gradient(link, data, beta),
-                                              loss_gradient(link, data, beta)))
-        worst_hess = max(worst_hess, _rel_dev(_fd_hessian(link, data, beta),
-                                              loss_hessian(link, data, beta)))
+        # one instance; central differences at h = 1e-6 against the analytic derivatives
+        checked = check_gradients(link, n, d, 1, rng)
+        worst_grad = max(worst_grad, checked.max_rel_gradient)
+        worst_hess = max(worst_hess, checked.max_rel_hessian)
     elapsed = time.perf_counter() - started
     ok = worst_grad <= 1e-6 and worst_hess <= 1e-5 and elapsed < 10.0
     report(capsys, 1, "derivative correctness", ok,

@@ -401,7 +401,7 @@ def test_option_the_mode_ignores_exits_1_before_any_work(capsys, monkeypatch, tm
         assert err == f"nlsparse: error: {flag} applies to {readers} only\n"
 
 
-@pytest.mark.parametrize("argv", [
+_EVERY_COMMAND = pytest.mark.parametrize("argv", [
     ["fit", "--lambda", "0.1"],
     ["test", "--lambda", "0.1", "--coordinate", "1", "--rho", "0.1", "--method", "score"],
     ["ci", "--lambda", "0.1", "--coordinate", "1", "--rho", "0.1"],
@@ -409,8 +409,11 @@ def test_option_the_mode_ignores_exits_1_before_any_work(capsys, monkeypatch, tm
     ["check", "--kind", "gradients"],
     ["check", "--kind", "sparse-eigen", "--d", "8"],
 ], ids=["fit", "test", "ci", "simulate", "check_gradients", "check_sparse_eigen"])
-def test_missing_output_directory_exits_1_before_any_work(capsys, monkeypatch, tmp_path,
-                                                          dataset_csv, argv):
+
+
+def _run_without_work(capsys, monkeypatch, dataset_csv, argv, output):
+    """``argv`` with ``--output output`` after every fit, experiment and check
+    is patched to raise, so that no work can start."""
     import nlsparse.diagnostics as diagnostics
     import nlsparse.simulate as sim
 
@@ -418,13 +421,28 @@ def test_missing_output_directory_exits_1_before_any_work(capsys, monkeypatch, t
         raise AssertionError("work ran")
 
     for module, name in ((cli, "fit"), (sim, "_map_trials"), (diagnostics, "check_gradients"),
-                         (diagnostics, "sparse_eigen_report")):
+                         (diagnostics, "sparse_eigen_report"), (sim, "run_estimation_sweep"),
+                         (sim, "run_baseline_comparison"), (sim, "run_inference_table")):
         monkeypatch.setattr(module, name, no_work)
-    output = tmp_path / "missing" / "out.txt"
     data = ["--data", str(dataset_csv)] if argv[0] in ("fit", "test", "ci") else []
-    code, out, err = run_cli(capsys, *argv, *data, "--output", str(output))
+    return run_cli(capsys, *argv, *data, "--output", str(output))
+
+
+@_EVERY_COMMAND
+def test_missing_output_directory_exits_1_before_any_work(capsys, monkeypatch, tmp_path,
+                                                          dataset_csv, argv):
+    output = tmp_path / "missing" / "out.txt"
+    code, out, err = _run_without_work(capsys, monkeypatch, dataset_csv, argv, output)
     assert (code, out) == (1, "")
     assert err == f"nlsparse: error: cannot write {output}: its directory does not exist\n"
+
+
+@_EVERY_COMMAND
+def test_output_that_is_a_directory_exits_1_before_any_work(capsys, monkeypatch, tmp_path,
+                                                              dataset_csv, argv):
+    code, out, err = _run_without_work(capsys, monkeypatch, dataset_csv, argv, tmp_path)
+    assert (code, out) == (1, "")
+    assert err == f"nlsparse: error: cannot write {tmp_path}: it is a directory\n"
 
 
 class TestSimulateCommand:
@@ -554,6 +572,13 @@ class TestSimulateCommand:
                      "--output", str(out), "--threads", "1"])
         assert code == 0
         assert "base_mean_l2" in out.read_text().splitlines()[0]
+
+    def test_baseline_at_d_1(self, capsys):
+        # the CV grid's top is rate_rule's floor where log d = 0
+        code, out, err = run_cli(capsys, "simulate", "--experiment", "baseline", "--n", "40",
+                                 "--d", "1", "--s-star", "1", "--trials", "2", "--threads", "1")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith("1,1,40,")
 
     def test_config_file_provides_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "sim.json"
@@ -765,6 +790,15 @@ class TestCheckCommand:
         assert (code, out) == (1, "")
         assert err.startswith(f"nlsparse: error: matrix {path}: {problem}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["1,nan\nnan,1\n", "inf,0\n0,1\n"])
+    def test_non_finite_matrix_file_exits_1(self, capsys, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "check", "--kind", "sparse-eigen",
+                                 "--matrix", str(path), "--k", "2")
+        assert (code, out) == (1, "")
+        assert err == "nlsparse: error: matrix contains non-finite entries\n"
 
     @pytest.mark.parametrize("seed, line", [
         ("0", "PASS max_rel_grad=6.372e-10 max_rel_hess=6.137e-10 trials=50\n"),

@@ -174,6 +174,16 @@ class TestValidation:
         with pytest.raises(InputError, match="symmetric"):
             solve_dantzig(np.array([0.1, 0.1]), M, 0.5)
 
+    @pytest.mark.parametrize("h_ag, h_gg", [
+        ([0.1, np.nan], np.eye(2)),
+        ([np.inf, 0.1], np.eye(2)),
+        ([0.1, 0.1], np.diag([np.nan, 1.0])),
+        ([0.1, 0.1], [[1.0, np.inf], [np.inf, 1.0]]),
+    ], ids=["nan_h_ag", "inf_h_ag", "nan_on_h_gg_diagonal", "inf_in_h_gg"])
+    def test_non_finite_input_rejected(self, h_ag, h_gg):
+        with pytest.raises(InputError, match="non-finite"):
+            solve_dantzig(np.array(h_ag), np.array(h_gg), 0.05)
+
     def test_nonpositive_rho_rejected(self):
         with pytest.raises(InputError):
             solve_dantzig(np.array([0.1]), np.array([[1.0]]), 0.0)

@@ -99,6 +99,33 @@ class TestSparseEigenReport:
             sparse_eigen_report(np.eye(10), 2, **sizes)
 
 
+@pytest.mark.parametrize("diagnostic", [
+    lambda M: sparse_eigenvalues(M, 1),
+    lambda M: sparse_eigen_report(M, 1),
+    lambda M: check_assumption1(M, 1, 2),
+], ids=["sparse_eigenvalues", "sparse_eigen_report", "check_assumption1"])
+class TestMatrixCheck:
+    # the check solve_dantzig makes of h_gg, shared by every diagnostic
+    @pytest.mark.parametrize("entries", [
+        {(0, 1): np.nan, (1, 0): np.nan},
+        {(2, 2): np.inf},
+        {(0, 1): 0.5},
+    ], ids=["nan", "inf", "asymmetric"])
+    def test_bad_entries_rejected(self, diagnostic, entries):
+        M = np.eye(5)
+        diagnostic(M)  # accepted before the entries change
+        for index, value in entries.items():
+            M[index] = value
+        with pytest.raises(InputError):
+            diagnostic(M)
+
+    @pytest.mark.parametrize("M", [np.zeros((0, 0)), np.ones((5, 6))],
+                             ids=["empty", "not_square"])
+    def test_bad_shape_rejected(self, diagnostic, M):
+        with pytest.raises(InputError):
+            diagnostic(M)
+
+
 class TestGradientCheck:
     @pytest.mark.parametrize("name", ["identity", "paper"])
     def test_passes_for_builtin_links(self, name):

@@ -293,6 +293,15 @@ class TestBaselineComparison:
         row = run_baseline_comparison(configs, threads=1)[0]
         assert row.failures == 0
 
+    def test_d_1_grid_tops_at_the_rate_rule_floor(self):
+        # log d = 0 at d = 1, so the grid top is rate_rule's 1e-4 floor, not 0
+        configs = [SimConfig(n=40, d=1, s_star=1, seed=36, trials=2)]
+        row = run_baseline_comparison(configs, threads=1)[0]
+        assert (row.trials, row.failures) == (2, 0)
+        raw, _ = generate(configs[0], 0)
+        _, lam = _cv_lasso(raw)
+        assert 1e-8 <= lam <= 1e-4
+
 
 def _cv_lasso_on_training_rows(data, folds, grid_size):
     """Reference ``_cv_lasso``: each fold's Gram matrix and correlations are

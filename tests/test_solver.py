@@ -191,7 +191,7 @@ class TestFit:
 
     def test_init_length_checked(self, paper):
         data = Dataset(design=np.ones((3, 2)), response=np.zeros(3))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^init has shape \(3,\), expected \(2,\)"):
             fit(paper, data, FitConfig(lam=0.1, init=np.zeros(3)))
 
 
