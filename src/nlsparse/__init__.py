@@ -14,11 +14,11 @@ import importlib
 
 _EXPORTS = {
     "dantzig": "DantzigResult solve_dantzig",
-    "diagnostics": "GradientCheckReport SparseEigenReport check_assumption1 check_gradients "
+    "diagnostics": "GradientCheckReport SparseEigenReport check_gradients "
                    "sparse_eigen_report sparse_eigenvalues",
     "errors": "DantzigInfeasibleError DegenerateVarianceError EnumerationCapError InputError "
               "LineSearchError NlsparseError NumericalError SingularDenominatorError",
-    "inference": "InferenceConfig ScoreTestResult WaldResult normal_cdf normal_quantile "
+    "inference": "InferenceConfig ScoreTestResult WaldResult normal_quantile "
                  "score_test two_sided_p_value wald_estimate",
     "loss": "loss_gradient loss_hessian loss_value penalized_objective",
     "model": "Dataset FitConfig LinkFunction builtin_link invert_link load_dataset_csv",

@@ -30,7 +30,6 @@ __all__ = [
     "GradientCheckReport",
     "sparse_eigenvalues",
     "sparse_eigen_report",
-    "check_assumption1",
     "check_gradients",
 ]
 
@@ -79,9 +78,12 @@ def sparse_eigenvalues(M, k: int):
 
 def sparse_eigen_report(M, k: int, s_star: Optional[int] = None,
                         k_star: Optional[int] = None) -> SparseEigenReport:
-    """Sparse eigenvalues at k, plus the regularity check when (s*, k*) given.
+    """Sparse eigenvalues at k, plus the design-regularity check when (s*, k*)
+    are given: rho_+(k*) / rho_-(2k* + s*) <= 1 + 0.5 k*/s* and k* >= 2 s*.
 
-    Raises :class:`InputError` when only one of s_star and k_star is given.
+    The check is False when rho_-(2k* + s*) is zero (degenerate design).
+    Raises :class:`InputError` when only one of s_star and k_star is given,
+    or when 2k* + s* exceeds d.
     """
     if (s_star is None) != (k_star is None):
         raise InputError("the regularity condition needs both s_star and k_star, or neither")
@@ -89,7 +91,18 @@ def sparse_eigen_report(M, k: int, s_star: Optional[int] = None,
     rho_minus, rho_plus = sparse_eigenvalues(M, k)
     condition = None
     if s_star is not None:
-        condition = _assumption1(M, s_star, k_star, {k: (rho_minus, rho_plus)})
+        if s_star < 1 or k_star < 1:
+            raise InputError("s_star and k_star must be positive")
+        wide = 2 * k_star + s_star
+        if wide > M.shape[0]:
+            raise InputError(f"2*k_star + s_star = {wide} exceeds d = {M.shape[0]}")
+        condition = False
+        if k_star >= 2 * s_star:
+            # the eigenvalues at k are not enumerated again at k* or 2k* + s*
+            rho_plus_k = rho_plus if k == k_star else sparse_eigenvalues(M, k_star)[1]
+            rho_minus_wide = rho_minus if k == wide else sparse_eigenvalues(M, wide)[0]
+            condition = bool(rho_minus_wide > 0.0
+                             and rho_plus_k / rho_minus_wide <= 1.0 + 0.5 * k_star / s_star)
     return SparseEigenReport(
         k=k,
         rho_minus=rho_minus,
@@ -97,30 +110,6 @@ def sparse_eigen_report(M, k: int, s_star: Optional[int] = None,
         condition_holds=condition,
         design_bound=float(np.abs(M).max()),
     )
-
-
-def check_assumption1(M, s_star: int, k_star: int) -> bool:
-    """Design-regularity check: rho_+(k*) / rho_-(2k* + s*) <= 1 + 0.5 k*/s*
-    and k* >= 2 s*. False when rho_-(2k* + s*) is zero (degenerate design)."""
-    return _assumption1(_checked_symmetric(M, "matrix"), s_star, k_star, {})
-
-
-def _assumption1(M, s_star, k_star, known):
-    """:func:`check_assumption1` of a checked matrix; ``known`` maps a k to
-    its (rho_minus, rho_plus), computed already, so it is not enumerated again."""
-    d = M.shape[0]
-    if s_star < 1 or k_star < 1:
-        raise InputError("s_star and k_star must be positive")
-    wide = 2 * k_star + s_star
-    if wide > d:
-        raise InputError(f"2*k_star + s_star = {wide} exceeds d = {d}")
-    if k_star < 2 * s_star:
-        return False
-    _, rho_plus = known.get(k_star) or sparse_eigenvalues(M, k_star)
-    rho_minus, _ = known.get(wide) or sparse_eigenvalues(M, wide)
-    if rho_minus <= 0.0:
-        return False
-    return bool(rho_plus / rho_minus <= 1.0 + 0.5 * k_star / s_star)
 
 
 def _central_difference(func, beta, h=1e-6):

@@ -59,7 +59,6 @@ __all__ = [
     "InferenceConfig",
     "ScoreTestResult",
     "WaldResult",
-    "normal_cdf",
     "normal_quantile",
     "two_sided_p_value",
     "score_test",
@@ -109,11 +108,6 @@ class WaldResult:
     d_hat: DantzigResult
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF, tail-accurate via erfc."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF (``statistics.NormalDist.inv_cdf``)."""
     if not (isinstance(p, (float, int, np.floating, np.integer)) and 0.0 < p < 1.0):
@@ -126,8 +120,8 @@ def normal_quantile(p: float) -> float:
 def two_sided_p_value(z: float) -> float:
     """P(|Z| >= |z|) for standard normal Z, as erfc(|z| / sqrt 2).
 
-    Unlike ``2 * (1 - normal_cdf(|z|))`` it stays accurate in the far tail
-    instead of rounding to 0 beyond |z| of about 8.3.
+    Unlike ``2 * (1 - Phi(|z|))`` computed from the CDF Phi, it stays accurate
+    in the far tail instead of rounding to 0 beyond |z| of about 8.3.
     """
     return math.erfc(abs(z) / math.sqrt(2.0))
 

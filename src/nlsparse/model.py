@@ -100,7 +100,7 @@ def _identity_deriv2(x):
 
 
 _BUILTIN_LINKS = {
-    "identity": lambda: LinkFunction(
+    "identity": LinkFunction(
         eval=_identity_eval,
         deriv=_identity_deriv,
         deriv2=_identity_deriv2,
@@ -111,7 +111,7 @@ _BUILTIN_LINKS = {
     ),
     # f(x) = 2x + cos(x): slope 2 - sin(x) lies in [1, 3]; 4 is the
     # conventional (loose) upper bound we advertise, curvature |cos| <= 1.
-    "paper": lambda: LinkFunction(
+    "paper": LinkFunction(
         eval=_paper_eval,
         deriv=_paper_deriv,
         deriv2=_paper_deriv2,
@@ -124,17 +124,16 @@ _BUILTIN_LINKS = {
 
 
 def builtin_link(name: str) -> LinkFunction:
-    """Return a registered link function by name.
+    """Return a registered link function by name; each name has one value.
 
     Known names: ``"identity"`` (f(x) = x) and ``"paper"``
     (f(x) = 2x + cos x). Unknown names raise :class:`InputError`.
     """
     try:
-        factory = _BUILTIN_LINKS[name]
+        return _BUILTIN_LINKS[name]
     except KeyError:
         known = ", ".join(sorted(_BUILTIN_LINKS))
         raise InputError(f"unknown link {name!r}; known links: {known}") from None
-    return factory()
 
 
 def invert_link(link: LinkFunction, y):

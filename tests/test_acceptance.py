@@ -21,13 +21,13 @@ from nlsparse import (
     Dataset,
     FitConfig,
     builtin_link,
-    check_assumption1,
     check_gradients,
     fit,
     normal_quantile,
     soft_threshold,
     solve_dantzig,
     solver,
+    sparse_eigen_report,
     sparse_eigenvalues,
 )
 from nlsparse.cli import main as cli_main
@@ -283,7 +283,7 @@ def test_criterion_11_diagnostics(capsys):
     monotone = all(b[0] <= a[0] + 1e-12 and b[1] >= a[1] - 1e-12
                    for a, b in zip(pairs, pairs[1:]))
     identity_ok = all(
-        check_assumption1(np.eye(2 * k + s), s, k)
+        sparse_eigen_report(np.eye(2 * k + s), k, s_star=s, k_star=k).condition_holds
         for s, k in ((1, 2), (2, 4), (3, 6))
     )
     ok = worst <= 1e-10 and monotone and identity_ok

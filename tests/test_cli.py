@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -941,6 +943,14 @@ except AttributeError:
     print("ok")
 """
         assert _child(["-c", code]) == "ok\n"
+
+    def test_readme_library_example_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+        assert len(blocks) == 1
+        lines = _child(["-c", blocks[0]]).splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "l2 error", "score p-value", "95% CI for beta_11"]
 
     def test_simulate_loads_openblas_single_threaded(self, openblas):
         code = f"from nlsparse.__main__ import main; main({_TINY_TABLE!r}); {_PRINT_THREADS}"

@@ -6,7 +6,6 @@ from nlsparse import (
     EnumerationCapError,
     InputError,
     builtin_link,
-    check_assumption1,
     check_gradients,
     sparse_eigen_report,
     sparse_eigenvalues,
@@ -53,30 +52,42 @@ class TestSparseEigenvalues:
             sparse_eigenvalues(np.array([[1.0, 0.5], [0.0, 1.0]]), 1)
 
 
+def assumption1_holds(M, s_star, k_star):
+    """The design-regularity check (the paper's Assumption 1), read off the
+    report at k = k*."""
+    return sparse_eigen_report(M, k_star, s_star=s_star, k_star=k_star).condition_holds
+
+
 class TestAssumptionCheck:
     @pytest.mark.parametrize("s_star,k_star", [(1, 2), (2, 4), (3, 6)])
     def test_identity_design_always_passes(self, s_star, k_star):
         d = 2 * k_star + s_star
-        assert check_assumption1(np.eye(d), s_star, k_star) is True
+        assert assumption1_holds(np.eye(d), s_star, k_star) is True
 
     def test_rank_one_fails(self):
         v = np.ones(10)
-        assert check_assumption1(np.outer(v, v), 2, 4) is False
+        assert assumption1_holds(np.outer(v, v), 2, 4) is False
 
     def test_small_relaxation_fails_side_condition(self):
         # k* < 2 s* violates the second inequality even for the identity
-        assert check_assumption1(np.eye(10), 4, 2) is False
+        assert assumption1_holds(np.eye(10), 4, 2) is False
+
+    def test_zero_eigenvalue_fails(self):
+        # rho_-(10) is exactly 0, so the ratio is not formed
+        M = np.eye(10)
+        M[0, 0] = 0.0
+        assert assumption1_holds(M, 2, 4) is False
 
     def test_toeplitz_population_matrix_regression_value(self):
         # frozen after first computation: the strongly correlated design
         # fails, with rho_+(4)/rho_-(10) ~ 143 against the bound 2
         idx = np.arange(16)
         M = 0.95 ** np.abs(idx[:, None] - idx[None, :])
-        assert check_assumption1(M, 2, 4) is False
+        assert assumption1_holds(M, 2, 4) is False
 
     def test_infeasible_sizes_rejected(self):
         with pytest.raises(InputError):
-            check_assumption1(np.eye(8), 2, 4)  # needs d >= 10
+            assumption1_holds(np.eye(8), 2, 4)  # needs d >= 10
 
 
 class TestSparseEigenReport:
@@ -102,7 +113,7 @@ class TestSparseEigenReport:
 @pytest.mark.parametrize("diagnostic", [
     lambda M: sparse_eigenvalues(M, 1),
     lambda M: sparse_eigen_report(M, 1),
-    lambda M: check_assumption1(M, 1, 2),
+    lambda M: assumption1_holds(M, 1, 2),  # the report's Assumption 1 check
 ], ids=["sparse_eigenvalues", "sparse_eigen_report", "check_assumption1"])
 class TestMatrixCheck:
     # the check solve_dantzig makes of h_gg, shared by every diagnostic

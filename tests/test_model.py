@@ -33,6 +33,10 @@ class TestBuiltinLinks:
         assert (paper.lower_slope, paper.upper_slope) == (1.0, 4.0)
         assert paper.curvature_bound == 1.0
 
+    @pytest.mark.parametrize("name", ["identity", "paper"])
+    def test_one_value_per_name(self, name):
+        assert builtin_link(name) is builtin_link(name)
+
     def test_unknown_name(self):
         with pytest.raises(InputError, match="unknown link"):
             builtin_link("logit")
