@@ -139,8 +139,9 @@ def builtin_link(name: str) -> LinkFunction:
 def invert_link(link: LinkFunction, y):
     """Solve ``f(z) = y`` for z, elementwise.
 
-    Uses bracket expansion (doubling an interval around 0, guaranteed to
-    succeed since ``f' >= lower_slope > 0``) followed by safeguarded
+    Uses bracket expansion (doubling an interval around 0, which ends since
+    ``f' >= lower_slope > 0``; only a target near the float maximum, where
+    f(z) overflows, raises :class:`NumericalError`) followed by safeguarded
     Newton-bisection until ``|f(z) - y| <= max(1e-10, 4 * spacing(|y|))``.
     The second term takes over above |y| of about 1e5, where 1e-10 is finer
     than the float spacing of f(z). An entry bisects when its Newton step
@@ -158,7 +159,7 @@ def invert_link(link: LinkFunction, y):
 
     lo = np.full_like(target, -1.0)
     hi = np.full_like(target, 1.0)
-    for _ in range(200):
+    for _ in range(1_100):  # 1 doubles past the largest finite float within 1,024 steps
         need_lo = link.eval(lo) > target
         need_hi = link.eval(hi) < target
         if not (need_lo.any() or need_hi.any()):
@@ -166,7 +167,7 @@ def invert_link(link: LinkFunction, y):
         lo = np.where(need_lo, 2.0 * lo, lo)
         hi = np.where(need_hi, 2.0 * hi, hi)
     else:
-        raise NumericalError("invert_link: no bracket found within 200 doublings")
+        raise NumericalError("invert_link: no bracket found within 1,100 doublings")
 
     z = 0.5 * (lo + hi)
     tol = np.maximum(1e-10, 4.0 * np.spacing(np.abs(target)))
@@ -248,8 +249,8 @@ class FitConfig:
     def __post_init__(self):
         if not (self.lam > 0.0 and np.isfinite(self.lam)):
             raise InputError(f"lam must be a positive real, got {self.lam}")
-        if not self.tol > 0.0:
-            raise InputError(f"tol must be positive, got {self.tol}")
+        if not (self.tol > 0.0 and np.isfinite(self.tol)):
+            raise InputError(f"tol must be a positive real, got {self.tol}")
         if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
             raise InputError(f"max_iter must be a positive integer, got {self.max_iter}")
         if self.init is not None:

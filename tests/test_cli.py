@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -135,6 +136,12 @@ class TestFitCommand:
         code, _, err = run_cli(capsys, "fit", "--data", str(dataset_csv))
         assert code == 1
         assert "--lambda" in err
+
+    def test_infinite_tol_exits_1(self, capsys, dataset_csv):
+        code, out, err = run_cli(capsys, "fit", "--data", str(dataset_csv), "--lambda", "0.1",
+                                 "--tol", "inf")
+        assert (code, out) == (1, "")
+        assert err == "nlsparse: error: tol must be a positive real, got inf\n"
 
     def test_unknown_flag_exits_1(self, dataset_csv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -911,6 +918,18 @@ def _child(args, blas_threads=None):
     return proc.stdout
 
 
+def _readme_argvs(command):
+    """The argument lists of the README's ``nlsparse <command> ...`` lines, with
+    backslash-continued lines joined and trailing ``# ...`` notes dropped."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text().replace("\\\n", "")
+    return [shlex.split(line, comments=True)[1:] for line in readme.splitlines()
+            if re.match(rf"nlsparse ({command}) ", line)]
+
+
+_README_COMMANDS = _readme_argvs("fit|test|ci|check")
+_README_SIMULATE = [argv + ["--trials", "2"] for argv in _readme_argvs("simulate")]
+
+
 @pytest.fixture
 def openblas():
     from nlsparse.simulate import _openblas
@@ -951,6 +970,24 @@ except AttributeError:
         lines = _child(["-c", blocks[0]]).splitlines()
         assert [line.split(":")[0] for line in lines] == [
             "l2 error", "score p-value", "95% CI for beta_11"]
+
+    def test_readme_command_counts(self):
+        # a README edit that adds or drops a command updates these on purpose
+        assert (len(_README_COMMANDS), len(_README_SIMULATE)) == (7, 3)
+
+    @pytest.mark.parametrize("argv", _README_COMMANDS + _README_SIMULATE, ids=" ".join)
+    def test_readme_command_runs(self, argv, tmp_path):
+        # the files the commands read: a d = 20 dataset, response first, and a 3 x 3 matrix
+        data, _ = generate(SimConfig(n=200, d=20, s_star=5, seed=7), 0)
+        np.savetxt(tmp_path / "d.csv", np.column_stack([data.response, data.design]),
+                   delimiter=",", fmt="%.17g")
+        (tmp_path / "m.csv").write_text("c1,c2,c3\n1,0.5,0.25\n0.5,1,0.5\n0.25,0.5,1\n")
+        proc = subprocess.run([sys.executable, "-m", "nlsparse", *argv], cwd=tmp_path,
+                              env=child_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if argv[0] == "simulate":
+            assert (tmp_path / argv[argv.index("--output") + 1]).stat().st_size > 0
 
     def test_simulate_loads_openblas_single_threaded(self, openblas):
         code = f"from nlsparse.__main__ import main; main({_TINY_TABLE!r}); {_PRINT_THREADS}"

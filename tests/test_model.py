@@ -110,9 +110,10 @@ class TestInvertLink:
                 assert np.max(np.abs(np.asarray(paper.eval(z)) - y)) <= 1e-10, (seed, trial)
 
     @pytest.mark.parametrize("name", ["paper", "identity"])
-    @pytest.mark.parametrize("y", [1e6, -1e6, 1e7])
+    @pytest.mark.parametrize("y", [1e6, -1e6, 1e7, 1e61, -1e100, 1e300])
     def test_large_targets(self, name, y):
-        # above |y| of about 1e5 the float spacing of f(z) exceeds 1e-10
+        # above |y| of about 1e5 the float spacing of f(z) exceeds 1e-10; 1e61 and
+        # beyond need more than 200 bracket doublings
         link = builtin_link(name)
         z = invert_link(link, y)
         assert abs(link.eval(z) - y) <= 4.0 * np.spacing(abs(y))
@@ -180,6 +181,8 @@ class TestFitConfig:
         dict(lam=-1.0),
         dict(lam=0.1, tol=0.0),
         dict(lam=0.1, max_iter=0),
+        # a fit would stop after one step and report convergence
+        dict(lam=0.1, tol=float("inf")),
     ])
     def test_invalid_options(self, kwargs):
         with pytest.raises(InputError):

@@ -4,7 +4,8 @@ Each case is a list of ``python -m nlsparse simulate`` runs, given as (arguments
 extra environment); every run must exit 0, and all of a case's CSVs must be
 byte-equal. The runs take about 15 s on 2 cores, so the cases are marked
 ``slow``: run them with ``pytest -m slow tests/test_reproducibility.py``. The
-last test, which is not slow, checks that CI runs them after it uninstalls scipy.
+last test, which is not slow, checks that CI runs them, and the installed script,
+after it uninstalls scipy.
 """
 import pathlib
 import subprocess
@@ -81,5 +82,8 @@ def test_ci_runs_the_cases_without_scipy():
     uninstall = [i for i, run in enumerate(runs) if "pip uninstall -y scipy" in run]
     cases = [i for i, step in enumerate(steps) if "if" not in step
              and "pytest -m slow tests/test_reproducibility.py" in runs[i]]
-    assert len(uninstall) == 1 and len(cases) == 1
-    assert uninstall[0] < cases[0]
+    script = [i for i, run in enumerate(runs) if run.startswith("nlsparse ")]
+    assert len(uninstall) == 1 and len(cases) == 1 and len(script) == 1
+    assert uninstall[0] < cases[0] and uninstall[0] < script[0]
+    # the README's commands are checked in tests/test_cli.py, not by a shell step
+    assert not any("README.md" in run for run in runs)
